@@ -1,0 +1,240 @@
+"""Bitwise golden outputs of every engine and path consumer at fixed seeds.
+
+Each case runs one consumer (first passage, fixed time, coupled levels,
+ladder records, or a library call built on them) on one model and hashes
+the raw bytes of every output array. The digests pin the random draw order
+and the floating-point arithmetic of the path engines: a refactor of the
+engines must leave every digest unchanged, and a change that moves draws on
+purpose must re-record the digests and name the moved draws.
+
+Print the current digests with
+
+    PYTHONPATH=src python tests/test_engine_golden.py
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from levy_passage.cramer import ruin_is
+from levy_passage.ladder import (Backend, LadderExponent, renewal_estimate,
+                                 verify_lt_identity)
+from levy_passage.models import (brownian_drift, cramer_lundberg,
+                                 custom_model, drift_minus_poisson,
+                                 spectrally_negative)
+from levy_passage.rng import stream
+from levy_passage.simulate import (SimConfig, extract_ladder,
+                                   fixed_time_sample, passage_sample,
+                                   ratio_path, ratio_paths)
+
+DMP = drift_minus_poisson(2.0)
+SN = spectrally_negative(2.0, 1.0, 1.0)
+CL = cramer_lundberg(1.0, 2.0, 1.0)
+LINE = brownian_drift(2.0, 0.0)             # event-exact with rate 0
+BD = brownian_drift(1.0, 1.0)               # skeleton without jumps
+EXP2 = "pow(2.718281828459045, -2*x)"
+JD = custom_model(gamma=1.0, sigma2=1.0, pos_tail=EXP2, neg_tail=EXP2)
+
+LONG = SimConfig(horizon=60.0, dt=0.05)
+SHORT = SimConfig(horizon=1.5, dt=0.05)
+PLAIN = SimConfig(horizon=60.0, dt=0.05, bridge_correction=False)
+LEVELS = np.array([0.3, 0.7, 1.5, 3.0, 6.0])
+
+
+def _passage(model, u, cfg, n=200, seed=11, level=0):
+    b = passage_sample(model, u, n, seed=seed, level_index=level, cfg=cfg)
+    return [b.tau, b.ruined, b.x_at_tau, b.overshoot, b.undershoot,
+            b.g_last_max]
+
+
+def _fixed(model, t, cfg, n=200, seed=12, level=1):
+    return list(fixed_time_sample(model, t, n, seed=seed, level_index=level,
+                                  cfg=cfg))
+
+
+def _coupled(model, cfg, n=40, seed=13):
+    out = [ratio_paths(model, LEVELS, n, seed=seed, cfg=cfg)]
+    for r in range(n):
+        out.extend(ratio_path(model, LEVELS, stream(seed, 3, r), cfg=cfg,
+                              with_max=True))
+    return out
+
+
+def _ladder(model, cfg, n=6, seed=14):
+    out = []
+    for r in range(n):
+        s = extract_ladder(model, cfg, rng=stream(seed, 0, r))
+        out.append(np.asarray(s.epochs, dtype=float).reshape(-1, 2))
+        out.append(np.array([s.killed]))
+    return out
+
+
+def _lt(model, cfg, n):
+    # only the simulated side is pinned; any exponent serves for the rhs
+    kappa = LadderExponent(Backend.EMPIRICAL, 0.0, 0.0, 0.0,
+                           lambda a, b: 1.0 + a + b)
+    rep = verify_lt_identity(model, kappa, mu=1.0, nu=0.5,
+                             theta=0.5, n=n, seed=15, cfg=cfg)
+    return [np.array([rep["lhs"], rep["se"]])]
+
+
+def _ruin(model, cfg, u, n=300):
+    e = ruin_is(model, cfg, u, n, seed=16)
+    return [np.array([e.psi_hat, e.se, e.C_hat, e.cond_tau_ratio,
+                      e.cond_g_ratio, e.cond_x_ratio])]
+
+
+def _renewal(model, cfg):
+    r = renewal_estimate(model, cfg, [0.5, 1.0, 2.0, 4.0], n_paths=30,
+                         seed=17)
+    return [r.values, r.value_se, np.array([r.EL1_inv, r.EH1])]
+
+
+CASES = {
+    # event-exact engine
+    "exact-dmp-passage": lambda: _passage(DMP, 2.0, LONG),
+    "exact-dmp-passage-short": lambda: _passage(DMP, 5.0, SHORT),
+    "exact-dmp-fixed": lambda: _fixed(DMP, 3.0, LONG),
+    "exact-dmp-coupled": lambda: _coupled(DMP, LONG),
+    "exact-dmp-coupled-short": lambda: _coupled(DMP, SHORT),
+    "exact-dmp-ladder": lambda: _ladder(DMP, SimConfig(horizon=40.0)),
+    "exact-sn-passage": lambda: _passage(SN, 3.0, LONG),
+    "exact-sn-fixed": lambda: _fixed(SN, 2.5, LONG),
+    "exact-sn-coupled": lambda: _coupled(SN, LONG),
+    "exact-sn-coupled-short": lambda: _coupled(SN, SHORT),
+    "exact-sn-ladder": lambda: _ladder(SN, SimConfig(horizon=40.0)),
+    "exact-cl-passage": lambda: _passage(CL, 1.0, LONG),
+    "exact-cl-passage-short": lambda: _passage(CL, 1.0, SHORT),
+    "exact-cl-fixed": lambda: _fixed(CL, 4.0, LONG),
+    "exact-cl-coupled": lambda: _coupled(CL, LONG),
+    "exact-cl-ladder": lambda: _ladder(CL, SimConfig(horizon=40.0)),
+    "exact-line-passage": lambda: _passage(LINE, 2.0, LONG, n=20),
+    "exact-line-passage-short": lambda: _passage(LINE, 5.0, SHORT, n=20),
+    "exact-line-fixed": lambda: _fixed(LINE, 3.0, LONG, n=20),
+    "exact-line-coupled": lambda: (_coupled(LINE, LONG, n=3)
+                                   + _coupled(LINE, SHORT, n=3)),
+    "exact-line-ladder": lambda: _ladder(LINE, LONG, n=2),
+    # gaussian skeleton with jumps
+    "skeleton-jumps-passage": lambda: _passage(JD, 2.0, LONG, n=100),
+    "skeleton-jumps-passage-short": lambda: _passage(JD, 4.0, SHORT, n=100),
+    "skeleton-jumps-passage-plain": lambda: _passage(JD, 2.0, PLAIN, n=100),
+    "skeleton-jumps-fixed": lambda: _fixed(JD, 2.0, LONG, n=100),
+    "skeleton-jumps-coupled": lambda: _coupled(JD, LONG, n=20),
+    "skeleton-jumps-coupled-short": lambda: _coupled(JD, SHORT, n=20),
+    "skeleton-jumps-ladder": lambda: _ladder(JD, SimConfig(horizon=10.0,
+                                                           dt=0.05)),
+    # pure diffusion: blockwise passage, scalar skeleton elsewhere
+    "diffusion-passage": lambda: _passage(BD, 2.0, LONG),
+    "diffusion-passage-default": lambda: _passage(BD, 5.0, None, n=50),
+    "diffusion-passage-short": lambda: _passage(BD, 4.0, SHORT),
+    "diffusion-passage-plain": lambda: _passage(BD, 2.0, PLAIN),
+    "diffusion-fixed": lambda: _fixed(BD, 2.0, LONG, n=100),
+    "diffusion-coupled": lambda: _coupled(BD, LONG, n=20),
+    "diffusion-ladder": lambda: _ladder(BD, SimConfig(horizon=10.0,
+                                                      dt=0.05)),
+    # library calls built on the consumers
+    "lt-identity-dmp": lambda: _lt(DMP, SimConfig(horizon=1e4), 300),
+    "lt-identity-skeleton": lambda: _lt(JD, LONG, 40),
+    "ruin-cl": lambda: _ruin(CL, SimConfig(horizon=600.0), 2.0),
+    "renewal-dmp": lambda: _renewal(DMP, SimConfig(horizon=100.0)),
+}
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "diffusion-coupled":
+        "9896b29d38454eec89a52e1bccb38f033c6be2b27aad7057fe620ca7b698a042",
+    "diffusion-fixed":
+        "e4196cd4b0c44412d930dc528c6371e399d8205825466cf7bb4072f477da96ce",
+    "diffusion-ladder":
+        "b388e21c73102ea3c446d73071f2c5091b304d363168424d95b9f6be650e56d0",
+    "diffusion-passage":
+        "ec8d8a14cf7c5346be09466b0f823a2e03c3bd0f7a32d3a07aa8f2865d581990",
+    "diffusion-passage-default":
+        "621aca399a8f748e63995d47b6257133b6adf490acbbe4423a2c75d03916cd0f",
+    "diffusion-passage-plain":
+        "642b0fbdb10ca49412875f26e30d6274fb40cf1089a810ac9ff99faa606d9185",
+    "diffusion-passage-short":
+        "fa7bbac3d7143c8c1a97d905c604bb08e38ffa500de9aab9e3d2e94d1ea575c4",
+    "exact-cl-coupled":
+        "ab3e06706dfe2f7fdb89c3e0330a937b3b313bc30146ae2ab91e8ab0c80f5c99",
+    "exact-cl-fixed":
+        "a5a8b61f2f91440f7f8b5fe49b304527a987551fa254677644d0c09f90337c8d",
+    "exact-cl-ladder":
+        "3b442c6e67fa59691ae39d6bf51afe75cbdcfddef880a1b817bc76e18de201e4",
+    "exact-cl-passage":
+        "d1847bb9e968f61726f441c80ae0586679b54f8b387d4024908cbd3ae99b7412",
+    "exact-cl-passage-short":
+        "d72337b4e09f2867a53e70303e21b717239e4f6791a7897c6faafaa11cde27d6",
+    "exact-dmp-coupled":
+        "378d3fc767ef22e3bbe2afd5f4671fbf82271122a4ab1d344c97731e60f7b9f9",
+    "exact-dmp-coupled-short":
+        "d6d3bccd3c6aa8241a438258b37151d866407547144a372ea53cb0b62de460e8",
+    "exact-dmp-fixed":
+        "8ab911918dfca6272ebfa1ee3ff41870c689c769688b440b8d32017544e76fd3",
+    "exact-dmp-ladder":
+        "3e87de4bb350846b0f24731e830e6dc0e38a44dbb7042845e597bcc9bf024b59",
+    "exact-dmp-passage":
+        "1791035e9532a3c1cd563c65b82c874b53815eec08512027f3019f08cb52632f",
+    "exact-dmp-passage-short":
+        "6b046beee7b78b0ad1f6efd7dc21dba1c8cccdec3627d7856d97e07e0cd61e4b",
+    "exact-line-coupled":
+        "48ae200e468ec3a168244f277a1c223eaae9e426afa39562398357996c1a1852",
+    "exact-line-fixed":
+        "88397243a9987f47ecef7a32fac1e6b26caf97472e5813f85084f62960dad05f",
+    "exact-line-ladder":
+        "02c681f3cb43d62992a785d85755989fcb2a442ce7248bae3b0204f919fdec34",
+    "exact-line-passage":
+        "a22c6c188995493add4c3d9b989a0aa0b39b38bfd413d4092fa12e8e0046faec",
+    "exact-line-passage-short":
+        "db2854a5d93c59f9ef418746f335760c5dfa6d811c991fca60638c7277315ee5",
+    "exact-sn-coupled":
+        "fdb506f6c5ec7c113fe10f1efb30a1b4c9db8d1fa014aff4492dd6e39a6fe1a5",
+    "exact-sn-coupled-short":
+        "094e8dd878d7a6239af3e64a43752e33dcc0807418f832ee541fcfa3098eeee0",
+    "exact-sn-fixed":
+        "d862ec5b0980183ce69ed00ec006deca5477579260387464a29b51054fce45f0",
+    "exact-sn-ladder":
+        "91c8de8494140fc6a0b2cd05e33a0e260c99582bcb2e36bef4b47ebcd03021df",
+    "exact-sn-passage":
+        "7558b6c4fd7253b1cb93423e56bb9e0daa9a41d3b40fe6f696c5460fbb3bbdca",
+    "lt-identity-dmp":
+        "05cfea131229a2598d1a9dc5c9ecbca4d0c7b1878b6f177ca471e19483d69698",
+    "lt-identity-skeleton":
+        "e834d2a747e7e9cc6628e2dd9a0237de869f9e6fe173e80c55c99f8d6ba1bcf5",
+    "renewal-dmp":
+        "8ca86b73e0b5ea85e8979b30c0e30686544a0ecd4ee4420fe84c1b5aba24ac03",
+    "ruin-cl":
+        "f0a7e531001b2b7349cf967b707fe232dbb7f5845ec2ee615e10e704ffcf154b",
+    "skeleton-jumps-coupled":
+        "aacba1343650ea042507dafbb4c981064d19b809dbeea7b1377f2b9fbc153162",
+    "skeleton-jumps-coupled-short":
+        "848ea5bb7799b433496fe73e9086c332cca8c21d2141c76c6a6708e140385156",
+    "skeleton-jumps-fixed":
+        "171713a2ea54b02aae8b03fabac3da476c501ff70c7b74351cd51c9a6b041571",
+    "skeleton-jumps-ladder":
+        "3181cf19722529da241e76ed12e59696cb508302ace9c75cef45e2433d488b70",
+    "skeleton-jumps-passage":
+        "db3776204ed45fbd062cffc2d9b8667eac498a3f032ef2eb0ede8ea7b79eb8e0",
+    "skeleton-jumps-passage-plain":
+        "695d9817cd2e25fab2ec640cdbcd565140cc8fe5cc5719ef56bb431387601d57",
+    "skeleton-jumps-passage-short":
+        "a7a029b1c1b51eb8b6b702f0b6d98ebc5d1cfd5ac7258779bf25ce0cdbc86dd3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_engine_output_is_bitwise_golden(name):
+    assert digest(CASES[name]()) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        print(f'    "{name}":\n        "{digest(CASES[name]())}",')
