@@ -13,8 +13,6 @@ runtime errors.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 from typing import Optional
@@ -23,33 +21,20 @@ from . import __version__
 from .config import (EXPERIMENTS, ConfigError, load_config,
                      model_from_config, regime_from_config, sim_from_config,
                      u_grid_from_config, _get)
-from .cramer import conditional_stability_experiment, ruin_is, solve_lundberg
+from .cramer import conditional_stability_experiment, ruin_grid
 from .experiments import (appendix_demo, as_stability_experiment,
                           g_stability_experiment, mean_exit_experiment,
                           overshoot_law_experiment, tau_stability_experiment)
 from .ladder import exponent_for, verify_lt_identity
 from .models import ModelError, classify_stability
-from .output import (PLOT_COLUMNS, RECORD_COLUMNS, emit_plotdata,
-                     plot_rows_from_report, plot_rows_from_result,
-                     record_rows, result_payload, ruin_plot_rows, write_csv,
-                     write_json, write_manifest)
+from .output import (PLOT_COLUMNS, RECORD_COLUMNS, plot_rows_from_report,
+                     plot_rows_from_result, record_rows, result_payload,
+                     ruin_plot_rows, write_csv, write_json, write_manifest)
 from .simulate import passage_sample
 
 _MC_EXPERIMENTS = {"simulate", "stability", "as-stability", "mean-exit",
                    "last-max", "overshoot", "lt-identity", "ruin",
                    "conditional", "appendix-demo"}
-
-
-def _threads() -> int:
-    raw = os.environ.get("LEVY_PASSAGE_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"LEVY_PASSAGE_THREADS: expected a positive integer, got {raw!r}")
-    if val < 1:
-        raise ConfigError("LEVY_PASSAGE_THREADS: must be at least 1")
-    return val
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,20 +62,15 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        threads = _threads()
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.reps is not None:
             cfg["n"] = args.reps
-        code, payload = _dispatch(args.command, cfg, args)
+        code = _dispatch(args.command, cfg, args)
         if args.out is not None:
-            write_manifest(args.out, cfg, __version__,
-                           time.monotonic() - t0, threads)
-    except (ConfigError, ModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+            write_manifest(args.out, cfg, __version__, time.monotonic() - t0)
+    except (ConfigError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
@@ -120,7 +100,7 @@ def _verdict_code(verdict: str) -> int:
     return 0
 
 
-def _dispatch(command: str, cfg: dict, args) -> tuple:
+def _dispatch(command: str, cfg: dict, args) -> int:
     model = model_from_config(cfg)
     sim = sim_from_config(cfg)
 
@@ -141,7 +121,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
                  "statistic": f"c[{regime.value}]", "value": verdict.c,
                  "se": 0.0}]
         _emit(args, rows, payload)
-        return 0, payload
+        return 0
 
     if command == "simulate":
         n = _n_from(cfg, command)
@@ -154,7 +134,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
               f"engine={batch.engine}")
         _emit(args, rows, result_payload("simulate", {"records": rows}),
               columns=RECORD_COLUMNS)
-        return 0, None
+        return 0
 
     if command in ("stability", "last-max", "mean-exit"):
         n = _n_from(cfg, command)
@@ -178,7 +158,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
         print(f"{command} verdict: {report.verdict}")
         _emit(args, plot_rows_from_report(report, command),
               result_payload(command, report.to_dict()))
-        return _verdict_code(report.verdict), None
+        return _verdict_code(report.verdict)
 
     if command == "as-stability":
         n = _n_from(cfg, command)
@@ -197,7 +177,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
                  "statistic": "median_ratio", "value": float(v), "se": 0.0}
                 for u, v in zip(report.levels, report.median_ratio)]
         _emit(args, rows, result_payload("as-stability", report.to_dict()))
-        return _verdict_code(report.verdict), None
+        return _verdict_code(report.verdict)
 
     if command == "overshoot":
         n = _n_from(cfg, command)
@@ -215,7 +195,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
                   f"(se {s.se:.3g})")
         _emit(args, plot_rows_from_result(result, "overshoot"),
               result_payload("overshoot", result.to_dict()))
-        return 0, None
+        return 0
 
     if command == "lt-identity":
         n = _n_from(cfg, command)
@@ -241,14 +221,12 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
                  "se": report["se"] if k == "lhs" else 0.0}
                 for k in ("lhs", "rhs", "z")]
         _emit(args, rows, payload)
-        return _verdict_code(verdict), None
+        return _verdict_code(verdict)
 
     if command == "ruin":
         n = _n_from(cfg, command)
         grid = u_grid_from_config(cfg)
-        nu0 = solve_lundberg(model)
-        ests = [ruin_is(model, sim, u, n, seed=sim.seed + i)
-                for i, u in enumerate(grid)]
+        ests = ruin_grid(model, sim, grid, n, seed=sim.seed)
         for est in ests:
             print(f"ruin u={est.u:g}: psi={est.psi_hat:.6g} "
                   f"(se {est.se:.3g}) scaled={est.cramer_scaled:.6g} "
@@ -256,7 +234,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
             if est.note:
                 print(f"warning: {est.note}")
         payload = result_payload("ruin", {
-            "nu0": nu0, "estimates": [e.to_dict() for e in ests]})
+            "nu0": ests[0].nu0, "estimates": [e.to_dict() for e in ests]})
         if args.format == "json":
             _emit(args, None, payload)
         else:
@@ -265,7 +243,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
                     "cond_tau_se", "cond_g_ratio", "cond_g_se",
                     "cond_x_ratio", "cond_x_se")
             _emit(args, [e.to_dict() for e in ests], payload, columns=cols)
-        return 0, None
+        return 0
 
     if command == "conditional":
         n = _n_from(cfg, command)
@@ -279,7 +257,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
               f"(mu_star={report.mu_star:.6g})")
         _emit(args, ruin_plot_rows(report.estimates, "conditional"),
               result_payload("conditional", report.to_dict()))
-        return _verdict_code(report.verdict), None
+        return _verdict_code(report.verdict)
 
     if command == "appendix-demo":
         n = _n_from(cfg, command)
@@ -294,7 +272,7 @@ def _dispatch(command: str, cfg: dict, args) -> tuple:
               result_payload("appendix-demo",
                              {"rows": [r.to_dict() for r in rows]}),
               columns=cols)
-        return 0, None
+        return 0
 
     raise ConfigError(f"unknown experiment '{command}'")
 

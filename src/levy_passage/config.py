@@ -154,20 +154,23 @@ def model_from_config(cfg: dict) -> LevyModel:
         "| cramer-lundberg | counterexample1 | counterexample2 | custom)")
 
 
+_SIM_KEYS = ("epsilon", "dt", "horizon", "rate_cap")
+
+
 def sim_from_config(cfg: dict) -> SimConfig:
     d = _get(cfg, "sim", dict, "config", default={})
+    unknown = sorted(set(d) - set(_SIM_KEYS))
+    if unknown:
+        raise ConfigError(f"sim.{unknown[0]}: unknown field (expected "
+                          f"{' | '.join(_SIM_KEYS)})")
     base = SimConfig()
+    fields = {k: _get(d, k, float, "sim", default=getattr(base, k))
+              for k in _SIM_KEYS}
     try:
-        return SimConfig(
-            epsilon=_get(d, "epsilon", float, "sim", default=base.epsilon),
-            dt=_get(d, "dt", float, "sim", default=base.dt),
-            horizon=_get(d, "horizon", float, "sim", default=base.horizon),
-            seed=_get(cfg, "seed", int, "config", default=base.seed),
-            rate_cap=_get(d, "rate_cap", float, "sim", default=base.rate_cap),
-            block=_get(d, "block", int, "sim", default=base.block),
-        )
+        return SimConfig(seed=_get(cfg, "seed", int, "config",
+                                   default=base.seed), **fields)
     except ValueError as exc:
-        raise ConfigError(f"sim: {exc}")
+        raise ConfigError(f"sim.{exc}")
 
 
 def regime_from_config(cfg: dict) -> Optional[Regime]:

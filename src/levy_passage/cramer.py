@@ -27,7 +27,7 @@ from .models import (Family, LevyModel, ModelError, cumulant,
                      compound_poisson_drift, cramer_lundberg)
 from .quadrature import integrate_tail, integrate_tail_to_zero
 from .rng import stream
-from .simulate import SimConfig, passage_sample
+from .simulate import SimConfig, passage_sample, prepare
 
 __all__ = [
     "TiltedModel",
@@ -36,6 +36,7 @@ __all__ = [
     "solve_lundberg",
     "esscher_tilt",
     "ruin_is",
+    "ruin_grid",
     "direct_ruin",
     "conditional_stability_experiment",
     "tilt_identity_check",
@@ -285,11 +286,37 @@ def ruin_is(model: LevyModel, cfg: Optional[SimConfig], u: float, n: int,
     seed = cfg.seed if seed is None else seed
     if tilt is None:
         tilt = esscher_tilt(model, solve_lundberg(model))
+    return _estimate(model, tilt, passage_sample(tilt.tilted, u, n,
+                                                 seed=seed, cfg=cfg))
+
+
+def ruin_grid(model: LevyModel, cfg: Optional[SimConfig], u_grid, n: int,
+              seed: Optional[int] = None,
+              tilt: Optional[TiltedModel] = None) -> list:
+    """ruin_is at every level of u_grid, with one tilt and one prepared
+    tilted model.
+
+    Level i runs on the streams of seed + i, so level 1 under seed s
+    shares its streams with level 0 under seed s + 1.
+    """
+    cfg = cfg or SimConfig()
+    seed = cfg.seed if seed is None else seed
+    if tilt is None:
+        tilt = esscher_tilt(model, solve_lundberg(model))
+    tilted = prepare(tilt.tilted, cfg)
+    return [_estimate(model, tilt, passage_sample(tilted, float(u), n,
+                                                  seed=seed + i))
+            for i, u in enumerate(u_grid)]
+
+
+def _estimate(model: LevyModel, tilt: TiltedModel, batch) -> RuinEstimate:
+    """Ruin summary from a batch of passages under the tilt."""
+    u = batch.u
+    n = batch.n
     nu0 = tilt.nu0
     note = ""
     if not tilt.mu_star_finite:
         note = "tilted mean infinite: scaled ruin constant degenerates to 0"
-    batch = passage_sample(tilt.tilted, u, n, seed=seed, cfg=cfg)
     if batch.n_ruined != n:
         raise ModelError(
             f"{n - batch.n_ruined} tilted paths censored; the tilted model "
@@ -390,17 +417,13 @@ def conditional_stability_experiment(model: LevyModel,
         raise ModelError(
             "tilted mean infinite: conditional ratio limits do not apply")
     target = 1.0 / tilt.mu_star
-    ests = []
-    verdicts = []
-    for i, u in enumerate(u_grid):
-        est = ruin_is(model, cfg, float(u), n, seed=seed + i, tilt=tilt)
-        ests.append(est)
-        verdicts.append({
-            "u": float(u),
-            "tau": _cond_verdict(est.cond_tau_ratio, est.cond_tau_se, target),
-            "g": _cond_verdict(est.cond_g_ratio, est.cond_g_se, target),
-            "x": _cond_verdict(est.cond_x_ratio, est.cond_x_se, 1.0),
-        })
+    ests = ruin_grid(model, cfg, u_grid, n, seed=seed, tilt=tilt)
+    verdicts = [{
+        "u": est.u,
+        "tau": _cond_verdict(est.cond_tau_ratio, est.cond_tau_se, target),
+        "g": _cond_verdict(est.cond_g_ratio, est.cond_g_se, target),
+        "x": _cond_verdict(est.cond_x_ratio, est.cond_x_se, 1.0),
+    } for est in ests]
     last = verdicts[-1]
     overall = "pass" if all(last[k] == "pass" for k in ("tau", "g", "x")) \
         else ("fail" if any(last[k] == "fail" for k in ("tau", "g", "x"))

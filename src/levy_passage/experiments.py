@@ -3,9 +3,7 @@
 Everything here reduces to summaries of passage batches: means and standard
 errors of tau_u/u and G/u over ruined replications, overshoot histograms
 with the creep atom kept separate, exponentially weighted ratio means, and
-pass/fail verdicts against the classifier's limiting constant. Results
-carry enough sufficient statistics to merge batches exactly, so large runs
-can be split and recombined without changing the answer.
+pass/fail verdicts against the classifier's limiting constant.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import numpy as np
 
 from .models import (LevyModel, ModelError, Regime, StabilityVerdict,
                      classify_stability)
-from .simulate import SimConfig, cutoff_for_rate, choose_engine, \
-    fixed_time_sample, passage_sample, ratio_paths
+from .simulate import SimConfig, cutoff_for_rate, fixed_time_sample, \
+    passage_sample, prepare, ratio_paths
 
 __all__ = [
     "RunningStat",
@@ -43,7 +41,7 @@ _CENSOR_LIMIT = 0.01      # tolerated censoring for upward-drifting models
 
 @dataclass
 class RunningStat:
-    """Mean and centered second moment in mergeable form."""
+    """Mean and centered second moment of a sample."""
 
     n: int = 0
     mean: float = 0.0
@@ -57,17 +55,6 @@ class RunningStat:
             return cls()
         mu = float(np.mean(values))
         return cls(n=n, mean=mu, m2=float(np.sum((values - mu) ** 2)))
-
-    def merge(self, other: "RunningStat") -> "RunningStat":
-        if self.n == 0:
-            return RunningStat(other.n, other.mean, other.m2)
-        if other.n == 0:
-            return RunningStat(self.n, self.mean, self.m2)
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        mean = (self.n * self.mean + other.n * other.mean) / n
-        m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / n
-        return RunningStat(n, mean, m2)
 
     @property
     def sd(self) -> float:
@@ -83,10 +70,6 @@ class RunningStat:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "mean": self.mean, "m2": self.m2}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunningStat":
-        return cls(int(d["n"]), float(d["mean"]), float(d["m2"]))
 
 
 def default_hist_edges() -> np.ndarray:
@@ -118,21 +101,10 @@ class OvershootHist:
     def total_mass(self) -> int:
         return self.zero_mass + int(self.counts.sum())
 
-    def merge(self, other: "OvershootHist") -> "OvershootHist":
-        if not np.array_equal(self.edges, other.edges):
-            raise ValueError("histograms use different bin edges")
-        return OvershootHist(self.zero_mass + other.zero_mass, self.edges,
-                             self.counts + other.counts)
-
     def to_dict(self) -> dict:
         return {"zero_mass": self.zero_mass,
                 "edges": [float(e) for e in self.edges],
                 "counts": [int(c) for c in self.counts]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OvershootHist":
-        return cls(int(d["zero_mass"]), np.asarray(d["edges"], dtype=float),
-                   np.asarray(d["counts"], dtype=int))
 
 
 @dataclass
@@ -193,23 +165,6 @@ class ExperimentResult:
                    overshoot_hist=OvershootHist.from_values(ov, edges),
                    weighted_tau=wt, weighted_g=wg)
 
-    def merge(self, other: "ExperimentResult") -> "ExperimentResult":
-        if self.u != other.u:
-            raise ValueError("cannot merge results at different levels")
-        if set(self.weighted_tau) != set(other.weighted_tau):
-            raise ValueError("cannot merge results with different weights")
-        wt = {r: self.weighted_tau[r].merge(other.weighted_tau[r])
-              for r in self.weighted_tau}
-        wg = {r: self.weighted_g[r].merge(other.weighted_g[r])
-              for r in self.weighted_g}
-        return ExperimentResult(
-            u=self.u, n=self.n + other.n,
-            n_censored=self.n_censored + other.n_censored,
-            tau_ratio=self.tau_ratio.merge(other.tau_ratio),
-            g_ratio=self.g_ratio.merge(other.g_ratio),
-            overshoot_hist=self.overshoot_hist.merge(other.overshoot_hist),
-            weighted_tau=wt, weighted_g=wg)
-
     def to_dict(self) -> dict:
         return {
             "u": self.u, "n": self.n, "n_censored": self.n_censored,
@@ -221,19 +176,6 @@ class ExperimentResult:
             "weighted_g": {repr(r): s.to_dict()
                            for r, s in self.weighted_g.items()},
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentResult":
-        return cls(
-            u=float(d["u"]), n=int(d["n"]), n_censored=int(d["n_censored"]),
-            tau_ratio=RunningStat.from_dict(d["tau_ratio"]),
-            g_ratio=RunningStat.from_dict(d["g_ratio"]),
-            overshoot_hist=OvershootHist.from_dict(d["overshoot_hist"]),
-            weighted_tau={float(r): RunningStat.from_dict(s)
-                          for r, s in d["weighted_tau"].items()},
-            weighted_g={float(r): RunningStat.from_dict(s)
-                        for r, s in d["weighted_g"].items()},
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +270,10 @@ def _check_censoring(model: LevyModel, results) -> None:
 def _passage_grid(model, cfg, u_grid, n, rho_list, seed):
     results = []
     medians = []
+    prepared = prepare(model, cfg)
     for i, u in enumerate(u_grid):
-        batch = passage_sample(model, float(u), n, seed=seed,
-                               level_index=i, cfg=cfg)
+        batch = passage_sample(prepared, float(u), n, seed=seed,
+                               level_index=i)
         results.append(ExperimentResult.from_batch(batch, rho_list))
         ru = batch.ruined
         medians.append((float(np.median(batch.tau[ru] / batch.u))
@@ -542,18 +485,17 @@ def appendix_demo(model: LevyModel, times, n: int,
     if np.any(times <= 0.0):
         raise ValueError("time points must be positive")
     rows = []
-    exact = choose_engine(model) == "event-exact"
     for i, t in enumerate(times):
-        if exact:
-            run_cfg = cfg
+        eps = cutoff_for_rate(model, min(events_per_path / t,
+                                         0.99 * cfg.rate_cap))
+        prepared = prepare(model, SimConfig(
+            epsilon=eps, dt=t / 64.0, horizon=cfg.horizon, seed=cfg.seed,
+            rate_cap=cfg.rate_cap))
+        if prepared.exact:
+            # the event-exact engine uses neither the cutoff nor dt
             eps = 0.0
-        else:
-            target = min(events_per_path / t, 0.99 * cfg.rate_cap)
-            eps = cutoff_for_rate(model, target)
-            run_cfg = SimConfig(epsilon=eps, dt=t / 64.0, horizon=cfg.horizon,
-                                seed=cfg.seed, rate_cap=cfg.rate_cap)
-        xs, ms, _ = fixed_time_sample(model, float(t), n, seed=seed,
-                                      level_index=i, cfg=run_cfg)
+        xs, ms, _ = fixed_time_sample(prepared, float(t), n, seed=seed,
+                                      level_index=i)
         xr = xs / t
         mr = ms / t
         rows.append(DemoRow(

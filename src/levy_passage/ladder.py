@@ -23,6 +23,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy.optimize import brentq
 
 from .models import Family, LevyModel, ModelError, cumulant, process_mean
 from .rng import stream, substream
-from .simulate import SimConfig, extract_ladder, simulate_passage
+from .simulate import SimConfig, extract_ladder, prepare, simulate_passage
 
 __all__ = [
     "Backend",
@@ -236,15 +237,9 @@ def kappa_drift_minus_poisson(a_param: float, a: float, b: float) -> float:
 
 
 def dmp_exponent(a_param: float) -> LadderExponent:
-    cache = tau1_transform_cache(a_param)
-
-    def _eval(a: float, b: float) -> float:
-        if a < 0.0 or b < 0.0:
-            raise ValueError("transform arguments must be nonnegative")
-        return a + a_param * b + (1.0 - cache.laplace(a))
-
     return LadderExponent(backend=Backend.DRIFT_MINUS_POISSON, q=0.0,
-                          d_L_inv=1.0, d_H=a_param, eval=_eval)
+                          d_L_inv=1.0, d_H=a_param,
+                          eval=partial(kappa_drift_minus_poisson, a_param))
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +255,13 @@ def empirical_exponent(model: LevyModel, cfg: Optional[SimConfig] = None,
     paths whose maximum stopped growing before the horizon. Only
     normalization-invariant functionals of the result are meaningful.
     """
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
+    prepared = prepare(model, cfg)
+    seed = prepared.cfg.seed if seed is None else seed
     dts = []
     dhs = []
     killed = 0
     for r in range(n_paths):
-        sample = extract_ladder(model, cfg, rng=stream(seed, 0, r))
+        sample = extract_ladder(prepared, rng=stream(seed, 0, r))
         for dt, dh in sample.epochs:
             dts.append(dt)
             dhs.append(dh)
@@ -334,8 +329,8 @@ def verify_lt_identity(model: LevyModel, kappa: LadderExponent, mu: float,
         raise ValueError("transform parameters must be nonnegative")
     if mu + lam == rho:
         raise ValueError("the identity needs mu + lam != rho")
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
+    prepared = prepare(model, cfg)
+    seed = prepared.cfg.seed if seed is None else seed
     vals = np.zeros(n)
     inv_mu = 1.0 / mu
     for r in range(n):
@@ -343,7 +338,7 @@ def verify_lt_identity(model: LevyModel, kappa: LadderExponent, mu: float,
         u = rng.exponential(inv_mu)
         if u <= 0.0:
             u = np.nextafter(0.0, 1.0)
-        rec = simulate_passage(model, u, rng, cfg)
+        rec = simulate_passage(prepared, u, rng)
         if rec.ruined:
             ex = (-rho * rec.overshoot - lam * rec.undershoot
                   - nu * rec.g_last_max - theta * (rec.tau - rec.g_last_max))
@@ -443,8 +438,8 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
     if len(u_grid) == 0 or np.any(u_grid <= 0.0) or \
             np.any(np.diff(u_grid) <= 0.0):
         raise ValueError("u_grid must be nonempty, positive, increasing")
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
+    prepared = prepare(model, cfg)
+    seed = prepared.cfg.seed if seed is None else seed
     creep = (model.sigma2 == 0.0 and model.is_bv()
              and model.drift_bv() > 0.0
              and not model.measure.has_positive_jumps())
@@ -456,7 +451,7 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
     tot_h = np.empty(n_paths)
     short = 0
     for r in range(n_paths):
-        sample = extract_ladder(model, cfg, rng=stream(seed, 0, r))
+        sample = extract_ladder(prepared, rng=stream(seed, 0, r))
         if not sample.epochs:
             raise ModelError("no ladder epochs observed before the horizon")
         arr = np.asarray(sample.epochs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from typing import Iterable, Optional
+from typing import Iterable
 
 RESULT_FORMAT = "levy-passage/result-v1"
 MANIFEST_FORMAT = "levy-passage/manifest-v1"
@@ -25,7 +25,6 @@ __all__ = [
     "result_payload",
     "write_json",
     "write_csv",
-    "emit_plotdata",
     "plot_rows_from_report",
     "plot_rows_from_result",
     "record_rows",
@@ -63,18 +62,6 @@ def write_csv(path: str, columns: Iterable[str], rows: Iterable[dict]) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(fmt17(row.get(c, "")) for c in columns) + "\n")
-
-
-def emit_plotdata(rows: list, path: str, fmt: str = "csv") -> None:
-    """Long-format plot data: one (experiment, u, statistic) per row."""
-    if not rows:
-        raise ValueError("no results to emit")
-    if fmt == "csv":
-        write_csv(path, PLOT_COLUMNS, rows)
-    elif fmt == "json":
-        write_json(path, result_payload("plotdata", {"rows": rows}))
-    else:
-        raise ValueError(f"unknown output format '{fmt}' (csv | json)")
 
 
 def _stat_rows(experiment: str, u: float, result) -> list:
@@ -145,8 +132,7 @@ def record_rows(batch) -> list:
 
 
 def write_manifest(result_path: str, spec_echo: dict, version: str,
-                   wall_time_s: float,
-                   threads: Optional[int] = None) -> str:
+                   wall_time_s: float) -> str:
     path = result_path + ".manifest.json"
     payload = {
         "format": MANIFEST_FORMAT,
@@ -155,7 +141,6 @@ def write_manifest(result_path: str, spec_echo: dict, version: str,
         "wall_time_s": wall_time_s,
         "created_utc": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),
-        "threads": threads if threads is not None else 1,
         "pid": os.getpid(),
     }
     with open(path, "w") as fh:

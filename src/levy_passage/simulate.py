@@ -17,6 +17,13 @@ Two engines cover all models:
   last-maximum times are recorded at substep resolution (a documented
   discretization of G, not eliminated).
 
+`prepare(model, cfg)` chooses the engine and builds its parts once. Each
+engine has one path generator: blocks of exponential waits and jumps for
+event-exact models, single substeps and jumps in draw order for the
+skeleton. Four consumers read them: first passage, fixed time, coupled
+levels and ladder records. Only the jump-free skeleton passage draws its
+substeps blockwise, on its own.
+
 Per-replication random streams make every batch reproducible independently
 of batching or execution order.
 """
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -37,7 +44,9 @@ __all__ = [
     "PassageRecord",
     "PassageBatch",
     "LadderSample",
+    "PreparedModel",
     "choose_engine",
+    "prepare",
     "simulate_passage",
     "passage_sample",
     "sample_at_time",
@@ -48,7 +57,8 @@ __all__ = [
     "cutoff_for_rate",
 ]
 
-_EVENT_BLOCK = 64
+_EVENT_BLOCK = 64          # events drawn at once by the event generator
+_DIFFUSION_BLOCK = 4096    # substeps drawn at once by the diffusion passage
 
 
 @dataclass
@@ -59,6 +69,7 @@ class SimConfig:
     dt: substep length of the Gaussian skeleton.
     horizon: censor time; passages not seen by then count as censored.
     seed: default stream seed for batch entry points.
+    bridge_correction: sample the Brownian-bridge maximum of each substep.
     rate_cap: refuse cutoffs producing a jump intensity above this.
     """
 
@@ -68,11 +79,16 @@ class SimConfig:
     seed: int = 0
     bridge_correction: bool = True
     rate_cap: float = 1e7
-    block: int = 4096
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("epsilon, dt and horizon must be positive")
+        for name in ("epsilon", "dt", "horizon"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(
+                    f"{name}: must be finite and positive, got {val!r}")
+        if not self.rate_cap > 0.0:
+            raise ValueError(
+                f"rate_cap: must be positive, got {self.rate_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -137,12 +153,77 @@ class LadderSample:
     killed: bool
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedModel:
+    """A model made ready for its engine under one SimConfig.
+
+    drift is the slope between jumps: the bounded-variation drift for
+    event-exact models, and gamma less the mean of the simulated jumps up
+    to 1 for the skeleton. draw(rng, n) samples n jump sizes arriving at
+    total intensity rate; it is None when rate is 0. sigma2 is the
+    skeleton's Gaussian variance with the small jumps folded in.
+    """
+
+    model: LevyModel
+    cfg: SimConfig
+    engine: str
+    drift: float
+    rate: float
+    draw: Optional[Callable]
+    sigma2: float = 0.0
+
+    @property
+    def exact(self) -> bool:
+        return self.engine == "event-exact"
+
+
 def choose_engine(model: LevyModel) -> str:
     m = model.measure
     if model.sigma2 == 0.0 and m.is_finite_activity and (
             m.law is not None or m.total_rate == 0.0):
         return "event-exact"
     return "gaussian-skeleton"
+
+
+def prepare(model: Union[LevyModel, PreparedModel],
+            cfg: Optional[SimConfig] = None) -> PreparedModel:
+    """Choose the engine for model and build what its paths need, once.
+
+    A prepared model comes back as it is, unless cfg differs from the
+    config it was prepared under.
+    """
+    if isinstance(model, PreparedModel):
+        if cfg is None or cfg == model.cfg:
+            return model
+        model = model.model
+    cfg = cfg or SimConfig()
+    m = model.measure
+    if choose_engine(model) == "event-exact":
+        rate = m.total_rate
+        return PreparedModel(model, cfg, "event-exact", model.drift_bv(),
+                             rate, m.law.sample if rate > 0.0 else None)
+    sigma2 = model.sigma2
+    drift = model.gamma
+    sampler = None
+    if m.pos_support > 0.0 or m.neg_support > 0.0:
+        if m.is_finite_activity and m.law is not None:
+            # finite activity: jumps carried whole, no variance folding
+            sampler = m.sampler(0.0)
+            drift = model.gamma - signed_mean_between(model, 0.0, 1.0)
+        else:
+            eps = cfg.epsilon
+            sampler = m.sampler(eps)
+            if sampler.rate > cfg.rate_cap:
+                raise ModelError(
+                    f"jump intensity {sampler.rate:.3g} above the "
+                    f"cap {cfg.rate_cap:.3g}; raise epsilon")
+            sigma2 += small_jump_variance(model, eps)
+            drift = model.gamma - signed_mean_between(model, eps, 1.0)
+    if sigma2 <= 0.0 and sampler is None:
+        raise ModelError("skeleton engine needs a Gaussian part or jumps")
+    rate = sampler.rate if sampler is not None else 0.0
+    return PreparedModel(model, cfg, "gaussian-skeleton", drift, rate,
+                         sampler.draw if rate > 0.0 else None, sigma2)
 
 
 def cutoff_for_rate(model: LevyModel, target_rate: float,
@@ -163,207 +244,192 @@ def cutoff_for_rate(model: LevyModel, target_rate: float,
 
 
 # ---------------------------------------------------------------------------
-# event-exact engine (bounded variation, finite activity)
+# path generators
 
 
-def _censored(u: float) -> PassageRecord:
-    return PassageRecord(u, math.inf, False, math.nan, math.nan,
-                         math.nan, math.nan)
+def _event_blocks(p: PreparedModel, rng, horizon: float):
+    """Event-exact path in blocks, until a block would start past horizon.
+
+    Yields (t, x, ct, pre, post): the block's start time and position, its
+    event times relative to t, and the positions just before and just after
+    each jump.
+    """
+    d = p.drift
+    scale = 1.0 / p.rate
+    t = x = 0.0
+    while t <= horizon:
+        w = rng.exponential(scale, _EVENT_BLOCK)
+        j = p.draw(rng, _EVENT_BLOCK)
+        ct = np.cumsum(w)
+        pre = x + d * ct + np.concatenate(([0.0], np.cumsum(j)[:-1]))
+        post = pre + j
+        yield t, x, ct, pre, post
+        t += ct[-1]
+        x = post[-1]
+
+
+def _skeleton_steps(p: PreparedModel, rng, horizon: float, bridge: bool):
+    """Skeleton path up to horizon, one substep or jump at a time.
+
+    Yields (t, step, x0, x1, m) for a substep from time t to t + step that
+    moves from x0 to x1 with maximum m: the sampled Brownian-bridge maximum
+    when bridge is set, else max(x0, x1). Yields (t, None, x0, x1, None)
+    for a jump at time t from x0 to x1. The bridge uniform is drawn only
+    when bridge is set.
+    """
+    b = p.drift
+    sig2 = p.sigma2
+    sig = math.sqrt(sig2)
+    dt = p.cfg.dt
+    t = x = 0.0
+    next_jump = t + rng.exponential(1.0 / p.rate) if p.rate > 0.0 else math.inf
+    while t < horizon:
+        seg_end = min(next_jump, horizon)
+        while t < seg_end:
+            step = min(dt, seg_end - t)
+            if t + step == t:   # step below float resolution at this t
+                t = seg_end
+                break
+            if sig2 > 0.0:
+                x1 = x + b * step + sig * math.sqrt(step) * rng.standard_normal()
+                m = _bridge_max(x, x1, sig2 * step, math.log(rng.random()),
+                                math.sqrt) if bridge else max(x, x1)
+            else:
+                x1 = x + b * step
+                m = max(x, x1)
+            yield t, step, x, x1, m
+            t += step
+            x = float(x1)
+        if t >= horizon:
+            break
+        x0 = x
+        x += float(p.draw(rng, 1)[0])
+        yield t, None, x0, x, None
+        next_jump = t + rng.exponential(1.0 / p.rate)
+
+
+def _bridge_max(x0, x1, sig2dt, logu, sqrt=np.sqrt):
+    """Exact maximum of a Brownian bridge over one substep.
+
+    With q = -2 sig2 dt log U, the maximum is the larger root of
+    (m - x0)(m - x1) = q/2, always at least max(x0, x1). Scalar callers
+    pass math.sqrt: it rounds as np.sqrt does, at lower cost per call.
+    """
+    q = -sig2dt * logu
+    disc = (x1 - x0) ** 2 + 2.0 * q
+    return 0.5 * (x0 + x1 + sqrt(disc))
+
+
+def _crossing_fraction(u, x0, x1):
+    """Where in a substep from x0 to x1 the level u is placed, in [0, 1]."""
+    frac = (u - x0) / (x1 - x0) if x1 > x0 else 0.5
+    return min(max(frac, 0.0), 1.0)
+
+
+def _interleave(pre, post, d):
+    """Segment tops and jump tops in path order; segment tops can set
+    records only with upward drift, so with d <= 0 they enter as -inf."""
+    vals = np.empty(len(pre) + len(post))
+    vals[0::2] = pre if d > 0.0 else -math.inf
+    vals[1::2] = post
+    return vals
 
 
 def _scan_records(t, ct, pre, post, mx, g, d):
     """Update (last max time, max) over a block of events.
 
-    With upward drift the path attains its maxima continuously at segment
-    tops (the `pre` values); jump tops (`post`) can set records with either
-    drift sign. Ties count as reattained maxima: the last-maximum time
-    tracks the most recent visit to the maximum.
+    Ties count as reattained maxima: the last-maximum time tracks the most
+    recent visit to the maximum.
     """
-    nb = len(pre)
-    vals = np.empty(nb + len(post))
-    vals[0::2] = pre
-    if len(post):
-        vals[1::2] = post
-    times = np.empty_like(vals)
-    times[0::2] = ct[:nb]
-    if len(post):
-        times[1::2] = ct[:len(post)]
-    if d <= 0.0:
-        # downward or flat segments cannot set records at their tops
-        vals[0::2] = -math.inf
+    vals = _interleave(pre, post, d)
     prior = np.maximum.accumulate(np.concatenate(([mx], vals)))[:-1]
     rec = np.flatnonzero(vals >= prior)
     if rec.size:
-        g = t + float(times[rec[-1]])
+        g = t + float(ct[rec[-1] // 2])
         mx = max(mx, float(np.max(vals)))
     return g, mx
 
 
-def _bv_passage(model: LevyModel, u: float, rng: np.random.Generator,
-                cfg: SimConfig) -> PassageRecord:
-    d = model.drift_bv()
-    m = model.measure
-    rate = m.total_rate
-    if rate == 0.0:
-        if d > 0.0:
-            tau = u / d
-            if tau <= cfg.horizon:
-                return PassageRecord(u, tau, True, u, 0.0, 0.0, tau)
-        return _censored(u)
-    law = m.law
-    t = 0.0
-    x = 0.0
-    mx = 0.0
-    g = 0.0
-    scale = 1.0 / rate
-    while True:
-        w = rng.exponential(scale, _EVENT_BLOCK)
-        j = law.sample(rng, _EVENT_BLOCK)
-        ct = np.cumsum(w)
-        cj = np.cumsum(j)
-        pre = x + d * ct + np.concatenate(([0.0], cj[:-1]))   # before jump k
-        post = pre + j                                        # after jump k
-        cross_creep = pre > u if d > 0.0 else np.zeros(_EVENT_BLOCK, bool)
-        cross_jump = post > u
-        hit = np.flatnonzero(cross_creep | cross_jump)
-        k = int(hit[0]) if hit.size else -1
-        if k >= 0 and cross_creep[k]:
+# ---------------------------------------------------------------------------
+# consumers
+
+
+def _record(u, tau, horizon=math.inf, x=None, under=0.0, g=None):
+    """Passage at tau that lands on x (on u itself by default, a creep), or
+    a censored record when tau is infinite or past the horizon."""
+    if math.isinf(tau) or tau > horizon:
+        return PassageRecord(u, math.inf, False, math.nan, math.nan,
+                             math.nan, math.nan)
+    x = u if x is None else x
+    return PassageRecord(u, tau, True, x, x - u, under,
+                         tau if g is None else g)
+
+
+def _first_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
+    """First passage over u along one path, censored at the horizon."""
+    horizon = p.cfg.horizon
+    d = p.drift
+    mx = g = 0.0
+    if p.rate == 0.0:
+        return _record(u, u / d if d > 0.0 else math.inf, horizon) \
+            if p.exact else _diffusion_passage(p, u, rng)
+    if not p.exact:
+        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon,
+                                                  p.cfg.bridge_correction):
+            if step is None:            # a jump at t from x0 to x1
+                if x1 > u:
+                    return _record(u, t, x=x1, under=u - max(mx, x0),
+                                   g=t if x0 >= mx else g)
+                if x1 >= mx:
+                    mx, g = x1, t
+            elif m > u:
+                return _record(u, t + step * _crossing_fraction(u, x0, x1))
+            elif m >= mx:
+                mx, g = float(m), t + step
+        return _record(u, math.inf)
+    for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
+        cross_creep = pre > u if d > 0.0 else np.zeros(len(pre), bool)
+        hit = np.flatnonzero(cross_creep | (post > u))
+        if not hit.size:
+            g, mx = _scan_records(t, ct, pre, post, mx, g, d)
+            continue
+        k = int(hit[0])
+        if cross_creep[k]:
             # forward from the segment start: exact, and bitwise u/d on a
             # first-segment crossing from the origin
             x_seg = post[k - 1] if k else x
-            t_seg = t + (ct[k - 1] if k else 0.0)
-            tau = t_seg + (u - x_seg) / d
-            if tau > cfg.horizon:
-                return _censored(u)
-            return PassageRecord(u, tau, True, u, 0.0, 0.0, tau)
-        if k >= 0:
-            tau = t + ct[k]
-            if tau > cfg.horizon:
-                return _censored(u)
-            g_new, mx_new = _scan_records(t, ct[:k + 1], pre[:k + 1],
-                                          post[:k], mx, g, d)
-            if d <= 0.0:
-                mx_new = max(mx_new, 0.0)   # origin itself is the t=0 maximum
-            if pre[k] >= mx_new:
-                g_new, mx_new = tau, pre[k]
-            return PassageRecord(u, tau, True, float(post[k]),
-                                 float(post[k] - u), float(u - mx_new), g_new)
-        g, mx = _scan_records(t, ct, pre, post, mx, g, d)
-        t += ct[-1]
-        x = post[-1]
-        if t > cfg.horizon:
-            return _censored(u)
+            return _record(u, t + (ct[k - 1] if k else 0.0)
+                           + (u - x_seg) / d, horizon)
+        tau = t + ct[k]
+        g, mx = _scan_records(t, ct[:k + 1], pre[:k + 1], post[:k], mx, g, d)
+        if pre[k] >= mx:
+            g, mx = tau, pre[k]
+        return _record(u, tau, horizon, float(post[k]), float(u - mx), g)
+    return _record(u, math.inf)
 
 
-def _bv_fixed_time(model: LevyModel, horizon: float,
-                   rng: np.random.Generator) -> tuple:
-    """(X_t, running max, last max time) at t = horizon, exactly."""
-    d = model.drift_bv()
-    m = model.measure
-    rate = m.total_rate
-    if rate == 0.0:
-        x = d * horizon
-        if d > 0.0:
-            return x, x, horizon
-        return x, 0.0, 0.0
-    law = m.law
-    t = 0.0
-    x = 0.0
-    mx = 0.0
-    g = 0.0
-    scale = 1.0 / rate
-    while True:
-        w = rng.exponential(scale, _EVENT_BLOCK)
-        j = law.sample(rng, _EVENT_BLOCK)
-        ct = np.cumsum(w)
-        cj = np.cumsum(j)
-        pre = x + d * ct + np.concatenate(([0.0], cj[:-1]))
-        post = pre + j
-        if t + ct[-1] <= horizon:
-            g, mx = _scan_records(t, ct, pre, post, mx, g, d)
-            t += ct[-1]
-            x = post[-1]
-            continue
-        k = int(np.searchsorted(t + ct, horizon, side="right"))
-        g, mx = _scan_records(t, ct[:k], pre[:k], post[:k], mx, g, d)
-        x_start = post[k - 1] if k else x
-        t_start = t + (ct[k - 1] if k else 0.0)
-        x_end = x_start + d * (horizon - t_start)
-        if d > 0.0 and x_end >= mx:
-            mx, g = x_end, horizon
-        return float(x_end), float(mx), g
-
-
-# ---------------------------------------------------------------------------
-# gaussian-skeleton engine
-
-
-class _SkeletonSpec:
-    """Frozen per-model data for the skeleton engine at a given cutoff."""
-
-    def __init__(self, model: LevyModel, cfg: SimConfig):
-        self.sigma2_eff = model.sigma2
-        self.drift = model.gamma
-        self.sampler = None
-        m = model.measure
-        if m.pos_support > 0.0 or m.neg_support > 0.0:
-            eps = cfg.epsilon
-            if m.is_finite_activity and m.law is not None:
-                self.sampler = m.sampler(0.0)
-                self.drift = model.gamma - signed_mean_between(model, 0.0, 1.0)
-                # finite activity: jumps carried whole, no variance folding
-            else:
-                self.sampler = m.sampler(eps)
-                if self.sampler.rate > cfg.rate_cap:
-                    raise ModelError(
-                        f"jump intensity {self.sampler.rate:.3g} above the "
-                        f"cap {cfg.rate_cap:.3g}; raise epsilon")
-                self.sigma2_eff += small_jump_variance(model, eps)
-                self.drift = model.gamma - signed_mean_between(model, eps, 1.0)
-        self.sig = math.sqrt(self.sigma2_eff)
-        if self.sigma2_eff <= 0.0 and self.sampler is None:
-            raise ModelError("skeleton engine needs a Gaussian part or jumps")
-
-
-def _bridge_max(x0, x1, sig2dt, logu):
-    """Exact maximum of a Brownian bridge over one substep.
-
-    With q = -2 sig2 dt log U, the maximum is the larger root of
-    (m - x0)(m - x1) = q/2, always at least max(x0, x1).
-    """
-    q = -sig2dt * logu
-    disc = (x1 - x0) ** 2 + 2.0 * q
-    return 0.5 * (x0 + x1 + np.sqrt(disc))
-
-
-def _diffusion_passage(spec, u, rng, cfg) -> PassageRecord:
-    """Pure drift+Gaussian passage via blockwise substeps."""
-    b = spec.drift
-    sig = spec.sig
-    dt = cfg.dt
-    n_exp = max(int((u / b) / dt * 1.5) if b > 0 else 0, 256)
-    nblock = min(max(n_exp, 256), cfg.block)
-    t = 0.0
-    x = 0.0
-    mx = 0.0
-    g = 0.0
+def _diffusion_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
+    """Jump-free skeleton passage, drawing its substeps blockwise."""
+    b = p.drift
+    sig = math.sqrt(p.sigma2)
+    dt = p.cfg.dt
+    horizon = p.cfg.horizon
+    nblock = min(max(int((u / b) / dt * 1.5) if b > 0 else 0, 256),
+                 _DIFFUSION_BLOCK)
+    t = x = mx = g = 0.0
     sqdt = sig * math.sqrt(dt)
-    while t < cfg.horizon:
+    while t < horizon:
         z = rng.standard_normal(nblock)
         lu = np.log(rng.random(nblock))
         x1 = x + np.cumsum(b * dt + sqdt * z)
         x0 = np.concatenate(([x], x1[:-1]))
-        m = _bridge_max(x0, x1, sig * sig * dt, lu) if cfg.bridge_correction \
-            else np.maximum(x0, x1)
+        m = _bridge_max(x0, x1, sig * sig * dt, lu) \
+            if p.cfg.bridge_correction else np.maximum(x0, x1)
         hit = np.flatnonzero(m > u)
-        k = int(hit[0]) if hit.size else -1
-        if k >= 0:
-            lo, hi = x0[k], x1[k]
-            frac = (u - lo) / (hi - lo) if hi > lo else 0.5
-            tau = t + dt * (k + min(max(frac, 0.0), 1.0))
-            if tau > cfg.horizon:
-                return _censored(u)
-            return PassageRecord(u, tau, True, u, 0.0, 0.0, tau)
+        if hit.size:
+            k = int(hit[0])
+            return _record(u, t + dt * (k + _crossing_fraction(
+                u, x0[k], x1[k])), horizon)
         prior = np.maximum.accumulate(np.concatenate(([mx], m)))[:-1]
         rec = np.flatnonzero(m >= prior)
         if rec.size:
@@ -371,186 +437,164 @@ def _diffusion_passage(spec, u, rng, cfg) -> PassageRecord:
             mx = float(np.max(m))
         t += nblock * dt
         x = float(x1[-1])
-        nblock = cfg.block
-    return _censored(u)
+        nblock = _DIFFUSION_BLOCK
+    return _record(u, math.inf)
 
 
-def _skeleton_passage(model, spec, u, rng, cfg) -> PassageRecord:
-    """Drift+Gaussian+jumps passage, substep loop with exact jump times."""
-    if spec.sampler is None or spec.sampler.rate == 0.0:
-        return _diffusion_passage(spec, u, rng, cfg)
-    b = spec.drift
-    sig2 = spec.sigma2_eff
-    sig = spec.sig
-    rate = spec.sampler.rate
-    t = 0.0
-    x = 0.0
+def _fixed_time(p: PreparedModel, horizon: float, rng) -> tuple:
+    """(X_t, running max, last max time) at t = horizon."""
+    d = p.drift
+    x = mx = g = 0.0
+    if not p.exact:
+        for t, step, _, x, m in _skeleton_steps(p, rng, horizon,
+                                                p.cfg.bridge_correction):
+            top = x if step is None else m
+            if top >= mx:
+                mx, g = float(top), t if step is None else t + step
+        return x, mx, g
+    if p.rate == 0.0:
+        x = d * horizon
+        return (x, x, horizon) if d > 0.0 else (x, 0.0, 0.0)
+    for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
+        k = int(np.searchsorted(t + ct, horizon, side="right"))
+        g, mx = _scan_records(t, ct[:k], pre[:k], post[:k], mx, g, d)
+        if k < _EVENT_BLOCK:    # the horizon falls inside this block
+            x_end = (post[k - 1] if k else x) \
+                + d * (horizon - (t + (ct[k - 1] if k else 0.0)))
+            if d > 0.0 and x_end >= mx:
+                mx, g = x_end, horizon
+            return float(x_end), float(mx), g
+
+
+def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
+    """Passage times over increasing levels along one path, with the
+    running maximum just before each crossing; nan past the horizon."""
+    horizon = p.cfg.horizon
+    d = p.drift
+    taus, maxima = np.full((2, len(levels)), math.nan)
     mx = 0.0
-    g = 0.0
-    next_jump = t + rng.exponential(1.0 / rate)
-    while t < cfg.horizon:
-        seg_end = min(next_jump, cfg.horizon)
-        while t < seg_end:
-            step = min(cfg.dt, seg_end - t)
-            if t + step == t:   # step below float resolution at this t
-                t = seg_end
+    nxt = 0  # first level not yet crossed
+    if not p.exact:
+        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon,
+                                                  p.cfg.bridge_correction):
+            top = x1 if step is None else m
+            while nxt < len(levels) and levels[nxt] < top:
+                u = levels[nxt]
+                taus[nxt] = t if step is None \
+                    else t + step * _crossing_fraction(u, x0, x1)
+                maxima[nxt] = max(mx, x0) if step is None else u
+                nxt += 1
+            mx = max(mx, float(top))
+            if nxt == len(levels):
                 break
-            if sig2 > 0.0:
-                x1 = x + b * step + sig * math.sqrt(step) * rng.standard_normal()
-                m = _bridge_max(x, x1, sig2 * step,
-                                math.log(rng.random())) if cfg.bridge_correction \
-                    else max(x, x1)
-            else:
-                x1 = x + b * step
-                m = max(x, x1)
-            if m > u:
-                frac = (u - x) / (x1 - x) if x1 > x else 0.5
-                tau = t + step * min(max(frac, 0.0), 1.0)
-                return PassageRecord(u, tau, True, u, 0.0, 0.0, tau)
-            if m >= mx:
-                mx, g = float(m), t + step
-            t += step
-            x = float(x1)
-        if t >= cfg.horizon:
+        return taus, maxima
+    if p.rate == 0.0:
+        if d > 0.0:
+            tt = levels / d
+            ok = tt <= horizon
+            taus[ok] = tt[ok]
+            maxima[ok] = levels[ok]
+        return taus, maxima
+    for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
+        vals = _interleave(pre, post, d)
+        run = np.maximum.accumulate(np.concatenate(([mx], vals)))
+        # vals index of each open level's first exceedance, if in this block
+        i = np.searchsorted(run, levels[nxt:], side="right") - 1
+        i = i[i < len(vals)]
+        k = i // 2
+        creep = i % 2 == 0
+        lv = levels[nxt:nxt + len(i)]
+        tau = t + ct[k]
+        tau[creep] = (t + np.concatenate(([0.0], ct[:-1])))[k[creep]] + (
+            lv[creep] - np.concatenate(([x], post[:-1]))[k[creep]]) / d
+        late = np.flatnonzero(tau > horizon)
+        done = late[0] if late.size else len(i)
+        taus[nxt:nxt + done] = tau[:done]
+        maxima[nxt:nxt + done] = np.where(
+            creep, lv, np.maximum(run[i], pre[k]))[:done]
+        nxt += done
+        if late.size or nxt == len(levels):
             break
-        size = float(spec.sampler.draw(rng, 1)[0])
-        xb = x
-        x += size
-        if x > u:
-            mx_pre = max(mx, xb)
-            g_at = t if xb >= mx else g
-            return PassageRecord(u, t, True, x, x - u, u - mx_pre, g_at)
-        if x >= mx:
-            mx, g = x, t
-        next_jump = t + rng.exponential(1.0 / rate)
-    return _censored(u)
+        mx = run[-1]
+    return taus, maxima
 
 
-def _skeleton_fixed_time(model, spec, horizon, rng, cfg) -> tuple:
-    """(X_t, running max, last max time) under the skeleton engine."""
-    b = spec.drift
-    sig2 = spec.sigma2_eff
-    sig = spec.sig
-    rate = spec.sampler.rate if spec.sampler is not None else 0.0
-    t = 0.0
-    x = 0.0
-    mx = 0.0
-    g = 0.0
-    next_jump = t + rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
-    while t < horizon:
-        seg_end = min(next_jump, horizon)
-        while t < seg_end:
-            step = min(cfg.dt, seg_end - t)
-            if t + step == t:
-                t = seg_end
-                break
-            if sig2 > 0.0:
-                x1 = x + b * step + sig * math.sqrt(step) * rng.standard_normal()
-                m = _bridge_max(x, x1, sig2 * step, math.log(rng.random()))
-            else:
-                x1 = x + b * step
-                m = max(x, x1)
-            if m >= mx:
-                mx, g = float(m), t + step
-            t += step
-            x = float(x1)
-        if t >= horizon:
+def _ladder_records(p: PreparedModel, rng) -> tuple:
+    """Times and height increments of strict new maxima up to the horizon."""
+    horizon = p.cfg.horizon
+    d = p.drift
+    times, heights, mx = [], [], 0.0
+    if not p.exact:
+        for t, step, _, x1, _ in _skeleton_steps(p, rng, horizon, False):
+            if x1 > mx:
+                times.append(t if step is None else t + step)
+                heights.append(float(x1 - mx))
+                mx = float(x1)
+        return times, heights
+    if p.rate == 0.0:
+        return ([horizon], [d * horizon]) if d > 0.0 else ([], [])
+    for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
+        tk = t + ct
+        k = int(np.searchsorted(tk, horizon, side="right"))
+        vals = _interleave(pre[:k], post[:k], d)
+        run = np.maximum.accumulate(np.concatenate(([mx], vals)))
+        rec = np.flatnonzero(vals > run[:-1])
+        times.extend(tk[rec // 2].tolist())
+        heights.extend((vals[rec] - run[rec]).tolist())
+        if k < _EVENT_BLOCK:
             break
-        x += float(spec.sampler.draw(rng, 1)[0])
-        if x >= mx:
-            mx, g = x, t
-        next_jump = t + rng.exponential(1.0 / rate)
-    return x, mx, g
+        mx = run[-1]
+    return times, heights
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# public entry points; model may be a LevyModel or a PreparedModel
 
 
-def simulate_passage(model: LevyModel, u: float, rng: np.random.Generator,
+def simulate_passage(model, u: float, rng: np.random.Generator,
                      cfg: Optional[SimConfig] = None) -> PassageRecord:
     """One passage attempt over level u > 0 with the natural engine."""
-    cfg = cfg or SimConfig()
     if not u > 0.0:
         raise ValueError("level u must be positive")
-    if choose_engine(model) == "event-exact":
-        return _bv_passage(model, u, rng, cfg)
-    spec = _SkeletonSpec(model, cfg)
-    return _skeleton_passage(model, spec, u, rng, cfg)
+    return _first_passage(prepare(model, cfg), u, rng)
 
 
-def passage_sample(model: LevyModel, u: float, n: int,
+def passage_sample(model, u: float, n: int,
                    seed: Optional[int] = None, level_index: int = 0,
                    cfg: Optional[SimConfig] = None) -> PassageBatch:
     """n independent passage attempts, one random stream per replication."""
-    cfg = cfg or SimConfig()
-    if seed is None:
-        seed = cfg.seed
     if not u > 0.0:
         raise ValueError("level u must be positive")
-    engine = choose_engine(model)
-    spec = _SkeletonSpec(model, cfg) if engine == "gaussian-skeleton" else None
-    tau = np.empty(n)
-    ruined = np.empty(n, dtype=bool)
-    x_at = np.empty(n)
-    ov = np.empty(n)
-    us = np.empty(n)
-    gl = np.empty(n)
-    for r in range(n):
-        rng = stream(seed, level_index, r)
-        if spec is None:
-            rec = _bv_passage(model, u, rng, cfg)
-        else:
-            rec = _skeleton_passage(model, spec, u, rng, cfg)
-        tau[r] = rec.tau
-        ruined[r] = rec.ruined
-        x_at[r] = rec.x_at_tau
-        ov[r] = rec.overshoot
-        us[r] = rec.undershoot
-        gl[r] = rec.g_last_max
-    return PassageBatch(u, tau, ruined, x_at, ov, us, gl, engine,
-                        seed, level_index)
+    p = prepare(model, cfg)
+    seed = p.cfg.seed if seed is None else seed
+    recs = [_first_passage(p, u, stream(seed, level_index, r))
+            for r in range(n)]
+    tau, x_at, ov, us, gl, ruined = np.array(
+        [(r.tau, r.x_at_tau, r.overshoot, r.undershoot, r.g_last_max,
+          r.ruined) for r in recs], dtype=float).reshape(n, 6).T.copy()
+    return PassageBatch(u, tau, ruined.astype(bool), x_at, ov, us, gl,
+                        p.engine, seed, level_index)
 
 
-def sample_at_time(model: LevyModel, t: float, rng: np.random.Generator,
+def sample_at_time(model, t: float, rng: np.random.Generator,
                    cfg: Optional[SimConfig] = None) -> tuple:
     """(X_t, running max, last max time) for one path."""
-    cfg = cfg or SimConfig()
-    if choose_engine(model) == "event-exact":
-        return _bv_fixed_time(model, t, rng)
-    spec = _SkeletonSpec(model, cfg)
-    return _skeleton_fixed_time(model, spec, t, rng, cfg)
+    return _fixed_time(prepare(model, cfg), t, rng)
 
 
-def fixed_time_sample(model: LevyModel, t: float, n: int,
+def fixed_time_sample(model, t: float, n: int,
                       seed: Optional[int] = None, level_index: int = 0,
                       cfg: Optional[SimConfig] = None):
     """Arrays (X_t, running max, last max time) over n replications."""
-    cfg = cfg or SimConfig()
-    if seed is None:
-        seed = cfg.seed
-    engine = choose_engine(model)
-    spec = _SkeletonSpec(model, cfg) if engine == "gaussian-skeleton" else None
-    xs = np.empty(n)
-    ms = np.empty(n)
-    gs = np.empty(n)
-    for r in range(n):
-        rng = stream(seed, level_index, r)
-        if spec is None:
-            x, mx, g = _bv_fixed_time(model, t, rng)
-        else:
-            x, mx, g = _skeleton_fixed_time(model, spec, t, rng, cfg)
-        xs[r] = x
-        ms[r] = mx
-        gs[r] = g
+    p = prepare(model, cfg)
+    seed = p.cfg.seed if seed is None else seed
+    xs, ms, gs = np.array([_fixed_time(p, t, stream(seed, level_index, r))
+                           for r in range(n)],
+                          dtype=float).reshape(n, 3).T.copy()
     return xs, ms, gs
 
 
-# ---------------------------------------------------------------------------
-# coupled multi-level passages along a single path (a.s. statements)
-
-
-def ratio_path(model: LevyModel, levels, rng: np.random.Generator,
+def ratio_path(model, levels, rng: np.random.Generator,
                cfg: Optional[SimConfig] = None, with_max: bool = False):
     """Passage times over every level along one shared path.
 
@@ -559,139 +603,29 @@ def ratio_path(model: LevyModel, levels, rng: np.random.Generator,
     With with_max=True also returns the running maximum just before each
     crossing, which is nondecreasing in the level along the path.
     """
-    cfg = cfg or SimConfig()
     levels = np.asarray(levels, dtype=float)
     if len(levels) == 0 or levels[0] <= 0.0:
         raise ValueError("levels must be positive")
     if np.any(np.diff(levels) <= 0.0):
         raise ValueError("levels must be strictly increasing")
-    if choose_engine(model) == "event-exact":
-        taus, maxima = _bv_ratio_path(model, levels, rng, cfg)
-    else:
-        spec = _SkeletonSpec(model, cfg)
-        taus, maxima = _skeleton_ratio_path(model, spec, levels, rng, cfg)
+    taus, maxima = _coupled_levels(prepare(model, cfg), levels, rng)
     return (taus, maxima) if with_max else taus
 
 
-def ratio_paths(model: LevyModel, levels, n: int, seed: Optional[int] = None,
+def ratio_paths(model, levels, n: int, seed: Optional[int] = None,
                 level_index: int = 0,
                 cfg: Optional[SimConfig] = None) -> np.ndarray:
     """Matrix of passage times, one coupled path per row."""
-    cfg = cfg or SimConfig()
-    if seed is None:
-        seed = cfg.seed
+    p = prepare(model, cfg)
+    seed = p.cfg.seed if seed is None else seed
     levels = np.asarray(levels, dtype=float)
     out = np.empty((n, len(levels)))
     for r in range(n):
-        rng = stream(seed, level_index, r)
-        out[r] = ratio_path(model, levels, rng, cfg)
+        out[r] = ratio_path(p, levels, stream(seed, level_index, r))
     return out
 
 
-def _bv_ratio_path(model, levels, rng, cfg):
-    d = model.drift_bv()
-    m = model.measure
-    rate = m.total_rate
-    taus = np.full(len(levels), math.nan)
-    maxima = np.full(len(levels), math.nan)
-    if rate == 0.0:
-        if d > 0.0:
-            tt = levels / d
-            ok = tt <= cfg.horizon
-            taus[ok] = tt[ok]
-            maxima[ok] = levels[ok]
-        return taus, maxima
-    law = m.law
-    t = 0.0
-    x = 0.0
-    mx = 0.0
-    nxt = 0  # first level not yet crossed
-    while t <= cfg.horizon and nxt < len(levels):
-        w = rng.exponential(1.0 / rate, _EVENT_BLOCK)
-        j = law.sample(rng, _EVENT_BLOCK)
-        ct = np.cumsum(w)
-        cj = np.cumsum(j)
-        pre = x + d * ct + np.concatenate(([0.0], cj[:-1]))
-        post = pre + j
-        starts = np.concatenate(([x], post[:-1]))
-        tstarts = t + np.concatenate(([0.0], ct[:-1]))
-        for k in range(_EVENT_BLOCK):
-            if nxt >= len(levels):
-                break
-            if d > 0.0:
-                while nxt < len(levels) and levels[nxt] < pre[k]:
-                    tau = tstarts[k] + (levels[nxt] - starts[k]) / d
-                    if tau > cfg.horizon:
-                        return taus, maxima
-                    taus[nxt] = tau
-                    maxima[nxt] = levels[nxt]   # reached by climbing
-                    nxt += 1
-                mx = max(mx, pre[k])
-            while nxt < len(levels) and levels[nxt] < post[k]:
-                tau = t + ct[k]
-                if tau > cfg.horizon:
-                    return taus, maxima
-                taus[nxt] = tau
-                maxima[nxt] = max(mx, pre[k])
-                nxt += 1
-            mx = max(mx, post[k])
-        t += ct[-1]
-        x = post[-1]
-    return taus, maxima
-
-
-def _skeleton_ratio_path(model, spec, levels, rng, cfg):
-    b = spec.drift
-    sig2 = spec.sigma2_eff
-    sig = spec.sig
-    rate = spec.sampler.rate if spec.sampler is not None else 0.0
-    taus = np.full(len(levels), math.nan)
-    maxima = np.full(len(levels), math.nan)
-    t = 0.0
-    x = 0.0
-    mx = 0.0
-    nxt = 0
-    next_jump = t + rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
-    while t < cfg.horizon and nxt < len(levels):
-        seg_end = min(next_jump, cfg.horizon)
-        while t < seg_end and nxt < len(levels):
-            step = min(cfg.dt, seg_end - t)
-            if t + step == t:
-                t = seg_end
-                break
-            if sig2 > 0.0:
-                x1 = x + b * step + sig * math.sqrt(step) * rng.standard_normal()
-                m = _bridge_max(x, x1, sig2 * step, math.log(rng.random()))
-            else:
-                x1 = x + b * step
-                m = max(x, x1)
-            while nxt < len(levels) and levels[nxt] < m:
-                u = levels[nxt]
-                frac = (u - x) / (x1 - x) if x1 > x else 0.5
-                taus[nxt] = t + step * min(max(frac, 0.0), 1.0)
-                maxima[nxt] = u
-                nxt += 1
-            mx = max(mx, float(m))
-            t += step
-            x = float(x1)
-        if t >= cfg.horizon or nxt >= len(levels):
-            break
-        xb = x
-        x += float(spec.sampler.draw(rng, 1)[0])
-        while nxt < len(levels) and levels[nxt] < x:
-            taus[nxt] = t
-            maxima[nxt] = max(mx, xb)
-            nxt += 1
-        mx = max(mx, x)
-        next_jump = t + rng.exponential(1.0 / rate)
-    return taus, maxima
-
-
-# ---------------------------------------------------------------------------
-# empirical ladder extraction
-
-
-def extract_ladder(model: LevyModel, cfg: Optional[SimConfig] = None,
+def extract_ladder(model, cfg: Optional[SimConfig] = None,
                    rng: Optional[np.random.Generator] = None) -> LadderSample:
     """Walk one path to the horizon recording strict new-maximum epochs.
 
@@ -699,96 +633,11 @@ def extract_ladder(model: LevyModel, cfg: Optional[SimConfig] = None,
     increment). Event-exact models record at event boundaries; the skeleton
     engine records at substep endpoints, a documented discretization.
     """
-    cfg = cfg or SimConfig()
+    p = prepare(model, cfg)
     if rng is None:
-        rng = stream(cfg.seed, 0, 0)
-    if choose_engine(model) == "event-exact":
-        times, heights = _bv_ladder_walk(model, rng, cfg)
-    else:
-        spec = _SkeletonSpec(model, cfg)
-        times, heights = _skeleton_ladder_walk(model, spec, rng, cfg)
-    epochs = []
-    last_t = 0.0
-    for tt, hh in zip(times, heights):
-        epochs.append((tt - last_t, hh))
-        last_t = tt
-    killed = (cfg.horizon - last_t) > 0.25 * cfg.horizon
-    return LadderSample(epochs=epochs, killed=killed)
-
-
-def _bv_ladder_walk(model, rng, cfg):
-    d = model.drift_bv()
-    m = model.measure
-    rate = m.total_rate
-    times = []
-    heights = []
-    if rate == 0.0:
-        if d > 0.0:
-            times.append(cfg.horizon)
-            heights.append(d * cfg.horizon)
-        return times, heights
-    law = m.law
-    t = 0.0
-    x = 0.0
-    mx = 0.0
-    while t <= cfg.horizon:
-        w = rng.exponential(1.0 / rate, _EVENT_BLOCK)
-        j = law.sample(rng, _EVENT_BLOCK)
-        ct = np.cumsum(w)
-        cj = np.cumsum(j)
-        pre = x + d * ct + np.concatenate(([0.0], cj[:-1]))
-        post = pre + j
-        for k in range(_EVENT_BLOCK):
-            tk = t + ct[k]
-            if tk > cfg.horizon:
-                return times, heights
-            if d > 0.0 and pre[k] > mx:
-                times.append(tk)
-                heights.append(float(pre[k] - mx))
-                mx = float(pre[k])
-            if post[k] > mx:
-                times.append(tk)
-                heights.append(float(post[k] - mx))
-                mx = float(post[k])
-        t += ct[-1]
-        x = post[-1]
-    return times, heights
-
-
-def _skeleton_ladder_walk(model, spec, rng, cfg):
-    b = spec.drift
-    sig2 = spec.sigma2_eff
-    sig = spec.sig
-    rate = spec.sampler.rate if spec.sampler is not None else 0.0
-    times = []
-    heights = []
-    t = 0.0
-    x = 0.0
-    mx = 0.0
-    next_jump = t + rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
-    while t < cfg.horizon:
-        seg_end = min(next_jump, cfg.horizon)
-        while t < seg_end:
-            step = min(cfg.dt, seg_end - t)
-            if t + step == t:
-                t = seg_end
-                break
-            if sig2 > 0.0:
-                x1 = x + b * step + sig * math.sqrt(step) * rng.standard_normal()
-            else:
-                x1 = x + b * step
-            t += step
-            if x1 > mx:
-                times.append(t)
-                heights.append(float(x1 - mx))
-                mx = float(x1)
-            x = float(x1)
-        if t >= cfg.horizon:
-            break
-        x += float(spec.sampler.draw(rng, 1)[0])
-        if x > mx:
-            times.append(t)
-            heights.append(float(x - mx))
-            mx = float(x)
-        next_jump = t + rng.exponential(1.0 / rate)
-    return times, heights
+        rng = stream(p.cfg.seed, 0, 0)
+    times, heights = _ladder_records(p, rng)
+    last_t = times[-1] if times else 0.0
+    return LadderSample(
+        epochs=list(zip(np.diff(times, prepend=0.0).tolist(), heights)),
+        killed=(p.cfg.horizon - last_t) > 0.25 * p.cfg.horizon)

@@ -73,7 +73,7 @@ def test_stability_writes_result_and_manifest(tmp_path, capsys):
     assert len(lines) > 4
     man = json.load(open(out + ".manifest.json"))
     assert man["version"] == __version__
-    assert man["threads"] == 1
+    assert "threads" not in man
     assert man["spec"]["seed"] == 11
     assert man["wall_time_s"] >= 0.0
 
@@ -286,24 +286,6 @@ def test_small_n_exits_one(tmp_path, capsys):
     path = dmp_cfg(tmp_path, regime="prob-large", n=10)
     assert main(["stability", "--config", path]) == 1
     assert "n >= 100" in capsys.readouterr().err
-
-
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    path = dmp_cfg(tmp_path, regime="prob-large")
-    monkeypatch.setenv("LEVY_PASSAGE_THREADS", "abc")
-    assert main(["classify", "--config", path]) == 1
-    assert "LEVY_PASSAGE_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("LEVY_PASSAGE_THREADS", "0")
-    assert main(["classify", "--config", path]) == 1
-    assert "at least 1" in capsys.readouterr().err
-
-
-def test_threads_env_recorded_in_manifest(tmp_path, monkeypatch):
-    monkeypatch.setenv("LEVY_PASSAGE_THREADS", "4")
-    path = dmp_cfg(tmp_path, regime="prob-large")
-    out = str(tmp_path / "t.csv")
-    assert main(["stability", "--config", path, "--out", out]) == 0
-    assert json.load(open(out + ".manifest.json"))["threads"] == 4
 
 
 def test_unwritable_out_exits_one(tmp_path, capsys):

@@ -151,6 +151,37 @@ def test_sim_invalid_values_name_section():
         sim_from_config({"sim": {"dt": "fast"}})
 
 
+@pytest.mark.parametrize("field", ["epsilon", "dt", "horizon"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0])
+def test_sim_requires_finite_positive_fields(field, bad):
+    with pytest.raises(ConfigError, match=rf"^sim\.{field}: must be finite"):
+        sim_from_config({"sim": {field: bad}})
+
+
+def test_sim_rate_cap_must_be_positive():
+    with pytest.raises(ConfigError, match=r"^sim\.rate_cap:"):
+        sim_from_config({"sim": {"rate_cap": math.nan}})
+    with pytest.raises(ConfigError, match=r"^sim\.rate_cap:"):
+        sim_from_config({"sim": {"rate_cap": 0.0}})
+    assert sim_from_config({"sim": {"rate_cap": math.inf}}).rate_cap \
+        == math.inf
+
+
+@pytest.mark.parametrize("key", ["block", "bridge_correction", "seed", "dT"])
+def test_sim_rejects_unknown_fields(key):
+    with pytest.raises(ConfigError, match=rf"^sim\.{key}: unknown field"):
+        sim_from_config({"sim": {key: 0}})
+
+
+def test_nan_dt_in_a_config_file_exits_one(tmp_path, capsys):
+    from levy_passage.cli import main
+    path = write(tmp_path, '{"model": {"family": "drift-minus-poisson", '
+                           '"a": 2.0}, "u_grid": [1.0], "n": 100, '
+                           '"sim": {"dt": NaN}}')
+    assert main(["stability", "--config", path]) == 1
+    assert "sim.dt: must be finite and positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # regime and level grid
 

@@ -10,7 +10,7 @@ from levy_passage.cramer import RuinEstimate
 from levy_passage.experiments import ExperimentResult
 from levy_passage.models import drift_minus_poisson
 from levy_passage.output import (PLOT_COLUMNS, RECORD_COLUMNS, RESULT_FORMAT,
-                                 emit_plotdata, fmt17, plot_rows_from_result,
+                                 fmt17, plot_rows_from_result,
                                  record_rows, result_payload, ruin_plot_rows,
                                  write_csv, write_json, write_manifest)
 from levy_passage.simulate import SimConfig, passage_sample
@@ -87,22 +87,6 @@ def test_write_csv_formats_and_tolerates_missing_keys(tmp_path):
     assert lines[2] == "2,,z"
 
 
-def test_emit_plotdata_rejects_empty_and_bad_format(tmp_path):
-    with pytest.raises(ValueError, match="no results"):
-        emit_plotdata([], str(tmp_path / "x.csv"))
-    rows = [{"experiment": "e", "u": 1.0, "statistic": "s",
-             "value": 0.5, "se": 0.1}]
-    with pytest.raises(ValueError, match="unknown output format"):
-        emit_plotdata(rows, str(tmp_path / "x.xml"), fmt="xml")
-    emit_plotdata(rows, str(tmp_path / "x.csv"))
-    assert open(tmp_path / "x.csv").read().splitlines()[0] == \
-        ",".join(PLOT_COLUMNS)
-    emit_plotdata(rows, str(tmp_path / "x.json"), fmt="json")
-    back = json.load(open(tmp_path / "x.json"))
-    assert back["kind"] == "plotdata"
-    assert back["rows"][0]["value"] == 0.5
-
-
 # ---------------------------------------------------------------------------
 # rows from results
 
@@ -155,18 +139,13 @@ def test_record_rows_match_batch():
 def test_manifest_sits_beside_the_result(tmp_path):
     result = str(tmp_path / "run.csv")
     open(result, "w").write("x\n")
-    path = write_manifest(result, {"seed": 3}, "0.1.0", 1.25, threads=4)
+    path = write_manifest(result, {"seed": 3}, "0.1.0", 1.25)
     assert path == result + ".manifest.json"
     man = json.load(open(path))
     assert man["format"].endswith("manifest-v1")
     assert man["spec"] == {"seed": 3}
     assert man["version"] == "0.1.0"
     assert man["wall_time_s"] == 1.25
-    assert man["threads"] == 4
+    assert "threads" not in man
     assert man["pid"] > 0
     assert "created_utc" in man
-
-
-def test_manifest_threads_default_one(tmp_path):
-    path = write_manifest(str(tmp_path / "r.json"), {}, "0.1.0", 0.0)
-    assert json.load(open(path))["threads"] == 1

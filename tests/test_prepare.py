@@ -1,0 +1,120 @@
+"""One prepared model per experiment, and the consumers it feeds.
+
+prepare() is the one place where an engine is chosen and its parts (jump
+sampler, folded drift and variance) are built. Callers that loop over
+replications or levels prepare once, which the sampler-build counts here
+pin. The coupling checks hold path for path: consumers that read the same
+generator on the same stream see the same path.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from levy_passage.cramer import ruin_grid, ruin_is
+from levy_passage.ladder import (Backend, LadderExponent, renewal_estimate,
+                                 verify_lt_identity)
+from levy_passage.measures import JumpMeasure
+from levy_passage.models import (brownian_drift, cramer_lundberg,
+                                 custom_model, drift_minus_poisson)
+from levy_passage.rng import stream
+from levy_passage.simulate import (SimConfig, extract_ladder, prepare,
+                                   ratio_path, ratio_paths, sample_at_time,
+                                   simulate_passage)
+
+EXP2 = "pow(2.718281828459045, -2*x)"
+JD = custom_model(gamma=1.0, sigma2=1.0, pos_tail=EXP2, neg_tail=EXP2)
+# cramer-lundberg (1, 2, 1) written as tails, so the general tilt runs
+TAIL_CL = custom_model(gamma=-1.0 + (1.0 - 3.0 * math.exp(-2.0)) / 2.0,
+                       sigma2=0.0, pos_tail=EXP2, neg_tail="0")
+CFG = SimConfig(horizon=30.0, dt=0.05)
+
+
+@pytest.fixture
+def sampler_builds(monkeypatch):
+    count = [0]
+    build = JumpMeasure.sampler
+
+    def counting(self, eps):
+        count[0] += 1
+        return build(self, eps)
+
+    monkeypatch.setattr(JumpMeasure, "sampler", counting)
+    return count
+
+
+def test_prepare_picks_the_engine_and_its_parts():
+    p = prepare(drift_minus_poisson(2.0))
+    assert p.exact and p.engine == "event-exact"
+    assert p.drift == 2.0 and p.rate == 1.0
+    q = prepare(brownian_drift(1.0, 1.0))
+    assert q.engine == "gaussian-skeleton"
+    assert q.rate == 0.0 and q.draw is None and q.sigma2 == 1.0
+
+
+def test_prepare_is_idempotent_under_its_config(sampler_builds):
+    p = prepare(JD, CFG)
+    assert prepare(p) is p
+    assert prepare(p, SimConfig(horizon=30.0, dt=0.05)) is p
+    assert sampler_builds[0] == 1
+    q = prepare(p, SimConfig(horizon=30.0, dt=0.05, epsilon=0.01))
+    assert q is not p and q.cfg.epsilon == 0.01
+    assert sampler_builds[0] == 2
+
+
+def test_ratio_paths_build_the_sampler_once(sampler_builds):
+    ratio_paths(JD, [0.5, 1.0], 5, seed=3, cfg=CFG)
+    assert sampler_builds[0] == 1
+
+
+def test_renewal_estimate_builds_the_sampler_once(sampler_builds):
+    renewal_estimate(JD, CFG, [0.5, 1.0, 2.0], n_paths=5, seed=3)
+    assert sampler_builds[0] == 1
+
+
+def test_lt_identity_builds_the_sampler_once(sampler_builds):
+    kappa = LadderExponent(Backend.EMPIRICAL, 0.0, 0.0, 0.0,
+                           lambda a, b: 1.0 + a + b)
+    verify_lt_identity(JD, kappa, mu=1.0, n=5, seed=3, cfg=CFG)
+    assert sampler_builds[0] == 1
+
+
+def test_ruin_grid_tilts_and_builds_the_sampler_once(sampler_builds):
+    ests = ruin_grid(TAIL_CL, SimConfig(horizon=600.0), [1.0, 2.0, 3.0],
+                     20, seed=5)
+    assert sampler_builds[0] == 1
+    assert [e.u for e in ests] == [1.0, 2.0, 3.0]
+
+
+def test_ruin_grid_keys_level_i_as_seed_plus_i():
+    cl = cramer_lundberg(1.0, 2.0, 1.0)
+    cfg = SimConfig(horizon=600.0)
+    ests = ruin_grid(cl, cfg, [1.0, 2.0], 200, seed=40)
+    for i, u in enumerate((1.0, 2.0)):
+        alone = ruin_is(cl, cfg, u, 200, seed=40 + i)
+        assert ests[i].to_dict() == alone.to_dict()
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+def test_coupled_levels_match_single_passages(bridge):
+    # both consumers draw the bridge uniform under the same switch, so on
+    # one stream they walk one path and agree bit for bit at every level
+    p = prepare(JD, SimConfig(horizon=8.0, dt=0.05, bridge_correction=bridge))
+    levels = np.array([0.5, 1.5, 3.0, 6.0])
+    for r in range(10):
+        taus = ratio_path(p, levels, stream(21, 0, r))
+        for u, tau in zip(levels, taus):
+            rec = simulate_passage(p, float(u), stream(21, 0, r))
+            assert (rec.tau == tau) if rec.ruined else math.isnan(tau)
+
+
+def test_fixed_time_max_without_bridge_is_the_ladder_height():
+    # with the bridge off the fixed-time walk draws what the ladder walk
+    # draws, so its running max is the sum of the ladder heights
+    p = prepare(JD, SimConfig(horizon=5.0, dt=0.05, bridge_correction=False))
+    for r in range(10):
+        _, mx, _ = sample_at_time(p, 5.0, stream(22, 0, r))
+        epochs = extract_ladder(p, rng=stream(22, 0, r)).epochs
+        heights = sum(h for _, h in epochs)
+        assert mx == pytest.approx(heights, rel=1e-12, abs=1e-12)
