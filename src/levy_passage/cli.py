@@ -19,7 +19,8 @@ from typing import Optional
 
 from . import __version__
 from .config import (EXPERIMENTS, ConfigError, load_config,
-                     model_from_config, regime_from_config, sim_from_config,
+                     model_from_config, regime_from_config,
+                     rho_list_from_config, sim_from_config,
                      u_grid_from_config, _get)
 from .cramer import conditional_stability_experiment, ruin_grid
 from .experiments import (appendix_demo, as_stability_experiment,
@@ -31,10 +32,6 @@ from .output import (PLOT_COLUMNS, RECORD_COLUMNS, plot_rows_from_report,
                      plot_rows_from_result, record_rows, result_payload,
                      ruin_plot_rows, write_csv, write_json, write_manifest)
 from .simulate import passage_sample
-
-_MC_EXPERIMENTS = {"simulate", "stability", "as-stability", "mean-exit",
-                   "last-max", "overshoot", "lt-identity", "ruin",
-                   "conditional", "appendix-demo"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,13 +71,6 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
-
-
-def _n_from(cfg: dict, command: str) -> int:
-    n = _get(cfg, "n", int, "config")
-    if command in _MC_EXPERIMENTS and n < 100:
-        raise ConfigError("n: Monte Carlo experiments need n >= 100")
-    return n
 
 
 def _emit(args, rows=None, json_payload=None, columns=PLOT_COLUMNS):
@@ -123,8 +113,12 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         _emit(args, rows, payload)
         return 0
 
+    # every other experiment is Monte Carlo
+    n = _get(cfg, "n", int, "config")
+    if n < 100:
+        raise ConfigError("n: Monte Carlo experiments need n >= 100")
+
     if command == "simulate":
-        n = _n_from(cfg, command)
         grid = u_grid_from_config(cfg)
         if len(grid) != 1:
             raise ConfigError("u_grid: simulate takes exactly one level")
@@ -137,10 +131,9 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         return 0
 
     if command in ("stability", "last-max", "mean-exit"):
-        n = _n_from(cfg, command)
         grid = u_grid_from_config(cfg)
         regime = regime_from_config(cfg)
-        rho = [float(r) for r in cfg.get("rho_list", [])]
+        rho = rho_list_from_config(cfg, [])
         fn = {"stability": tau_stability_experiment,
               "last-max": g_stability_experiment}.get(command)
         if fn is not None:
@@ -161,15 +154,14 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         return _verdict_code(report.verdict)
 
     if command == "as-stability":
-        n = _n_from(cfg, command)
         grid = u_grid_from_config(cfg, "levels" if "levels" in cfg
                                   else "u_grid")
         regime = regime_from_config(cfg)
-        report = as_stability_experiment(
-            model, sim, grid, n, seed=sim.seed, regime=regime,
-            band=float(cfg.get("band", 0.15)),
-            tail_window=int(cfg.get("tail_window", 3)),
-            min_fraction=float(cfg.get("min_fraction", 0.9)))
+        opts = {k: _get(cfg, k, kind, "config") for k, kind in
+                (("band", float), ("tail_window", int),
+                 ("min_fraction", float)) if k in cfg}
+        report = as_stability_experiment(model, sim, grid, n, seed=sim.seed,
+                                         regime=regime, **opts)
         print(f"as-stability: fraction {report.fraction_pass:.3f} within "
               f"band {report.band:g} of {report.target:.6g} "
               f"[{report.verdict}]")
@@ -180,11 +172,10 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         return _verdict_code(report.verdict)
 
     if command == "overshoot":
-        n = _n_from(cfg, command)
         grid = u_grid_from_config(cfg)
         if len(grid) != 1:
             raise ConfigError("u_grid: overshoot takes exactly one level")
-        rho = [float(r) for r in cfg.get("rho_list", [0.0, 1.0])]
+        rho = rho_list_from_config(cfg, [0.0, 1.0])
         result = overshoot_law_experiment(model, sim, grid[0], n, rho,
                                           seed=sim.seed)
         zero = result.overshoot_hist.zero_mass
@@ -198,11 +189,9 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         return 0
 
     if command == "lt-identity":
-        n = _n_from(cfg, command)
         tr = _get(cfg, "transform", dict, "config", default={})
-        kappa = exponent_for(model,
-                             allow_empirical=bool(cfg.get("allow_empirical",
-                                                          False)), cfg=sim)
+        kappa = exponent_for(model, allow_empirical=_get(
+            cfg, "allow_empirical", bool, "config", default=False), cfg=sim)
         report = verify_lt_identity(
             model, kappa, mu=_get(tr, "mu", float, "transform"),
             rho=_get(tr, "rho", float, "transform", default=0.0),
@@ -224,7 +213,6 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         return _verdict_code(verdict)
 
     if command == "ruin":
-        n = _n_from(cfg, command)
         grid = u_grid_from_config(cfg)
         ests = ruin_grid(model, sim, grid, n, seed=sim.seed)
         for est in ests:
@@ -246,7 +234,6 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         return 0
 
     if command == "conditional":
-        n = _n_from(cfg, command)
         grid = u_grid_from_config(cfg)
         report = conditional_stability_experiment(model, sim, grid, n,
                                                   seed=sim.seed)
@@ -260,7 +247,6 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         return _verdict_code(report.verdict)
 
     if command == "appendix-demo":
-        n = _n_from(cfg, command)
         times = u_grid_from_config(cfg, "times")
         rows = appendix_demo(model, times, n, cfg=sim, seed=sim.seed)
         cols = ("t", "n", "epsilon", "x_q10", "x_med", "x_q90", "max_q10",

@@ -53,6 +53,10 @@ def load_config(path: str) -> dict:
 
 
 _MISSING = object()
+# accepted JSON types and their name in messages, per requested kind
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+          bool: (bool, "true or false"), str: (str, "a string"),
+          dict: (dict, "an object"), list: (list, "an array")}
 
 
 def _get(d: dict, key: str, kind, path: str, default=_MISSING):
@@ -61,32 +65,12 @@ def _get(d: dict, key: str, kind, path: str, default=_MISSING):
             raise ConfigError(f"{path}.{key}: required field missing")
         return default
     val = d[key]
-    if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got "
-                              f"{type(val).__name__}")
-        return float(val)
-    if kind is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{path}.{key}: expected an integer, got "
-                              f"{type(val).__name__}")
-        return val
-    if kind is str:
-        if not isinstance(val, str):
-            raise ConfigError(f"{path}.{key}: expected a string, got "
-                              f"{type(val).__name__}")
-        return val
-    if kind is dict:
-        if not isinstance(val, dict):
-            raise ConfigError(f"{path}.{key}: expected an object, got "
-                              f"{type(val).__name__}")
-        return val
-    if kind is list:
-        if not isinstance(val, list):
-            raise ConfigError(f"{path}.{key}: expected an array, got "
-                              f"{type(val).__name__}")
-        return val
-    raise AssertionError(kind)
+    types, name = _KINDS[kind]
+    # a JSON true/false is a Python int, so only the bool kind accepts one
+    if isinstance(val, bool) != (kind is bool) or not isinstance(val, types):
+        raise ConfigError(f"{path}.{key}: expected {name}, got "
+                          f"{type(val).__name__}")
+    return float(val) if kind is float else val
 
 
 def _law_from_config(d: dict, path: str):
@@ -183,6 +167,15 @@ def regime_from_config(cfg: dict) -> Optional[Regime]:
         valid = " | ".join(r.value for r in Regime)
         raise ConfigError(f"regime: unknown regime '{name}' "
                           f"(expected {valid})")
+
+
+def rho_list_from_config(cfg: dict, default: list) -> list:
+    rho = _get(cfg, "rho_list", list, "config", default=default)
+    for i, r in enumerate(rho):
+        if isinstance(r, bool) or not isinstance(r, (int, float)) \
+                or not math.isfinite(r):
+            raise ConfigError(f"rho_list[{i}]: expected a finite number")
+    return [float(r) for r in rho]
 
 
 def u_grid_from_config(cfg: dict, key: str = "u_grid") -> list:

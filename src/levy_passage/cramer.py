@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
+from .experiments import _within_band
 from .measures import JumpMeasure
 from .models import (Family, LevyModel, ModelError, cumulant,
                      cumulant_derivative, process_mean, brownian_drift,
@@ -41,8 +42,6 @@ __all__ = [
     "conditional_stability_experiment",
     "tilt_identity_check",
 ]
-
-_BAND_REL = 0.02
 
 
 def solve_lundberg(model: LevyModel) -> float:
@@ -282,12 +281,7 @@ def ruin_is(model: LevyModel, cfg: Optional[SimConfig], u: float, n: int,
     overshoot law never settles, so the conditional ratios and the scaled
     constant are withheld for them.
     """
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
-    if tilt is None:
-        tilt = esscher_tilt(model, solve_lundberg(model))
-    return _estimate(model, tilt, passage_sample(tilt.tilted, u, n,
-                                                 seed=seed, cfg=cfg))
+    return ruin_grid(model, cfg, [u], n, seed, tilt)[0]
 
 
 def ruin_grid(model: LevyModel, cfg: Optional[SimConfig], u_grid, n: int,
@@ -390,8 +384,7 @@ class ConditionalReport:
 def _cond_verdict(est: float, se: float, target: float) -> str:
     if not math.isfinite(target) or not math.isfinite(est):
         return "inconclusive"
-    return "pass" if abs(est - target) <= 3.0 * se + _BAND_REL * abs(target) \
-        else "fail"
+    return "pass" if _within_band(est, se, target) else "fail"
 
 
 def conditional_stability_experiment(model: LevyModel,
@@ -437,18 +430,16 @@ def conditional_stability_experiment(model: LevyModel,
 # measure-change identity on fixed-time marginals
 
 
-def _default_test_functions() -> list:
-    return [
-        ("indicator", lambda x: (x > 0.0).astype(float)),
-        ("identity-clipped", lambda x: np.clip(x, 0.0, 3.0)),
-        ("exponential-clipped", lambda x: np.minimum(np.exp(x), 10.0)),
-    ]
+_TEST_FUNCTIONS = (
+    ("indicator", lambda x: (x > 0.0).astype(float)),
+    ("identity-clipped", lambda x: np.clip(x, 0.0, 3.0)),
+    ("exponential-clipped", lambda x: np.minimum(np.exp(x), 10.0)),
+)
 
 
 def tilt_identity_check(model: LevyModel, t: float, n: int = 100_000,
                         seed: int = 0,
-                        tilt: Optional[TiltedModel] = None,
-                        funcs: Optional[list] = None) -> list:
+                        tilt: Optional[TiltedModel] = None) -> list:
     """Two-estimator check of the fixed-time measure-change identity.
 
     Compares E f(X_t) sampled directly with E*[f(X*_t) exp(-nu0 X*_t)]
@@ -462,14 +453,13 @@ def tilt_identity_check(model: LevyModel, t: float, n: int = 100_000,
             tilt.tilted.hooks.increment_sampler is None:
         raise ModelError("fixed-time identity check needs exact increment "
                          "samplers on both sides")
-    funcs = funcs or _default_test_functions()
     rng_a = stream(seed, 1, 0)
     rng_b = stream(seed, 2, 0)
     x_dir = model.hooks.increment_sampler(rng_a, t, n)
     x_til = tilt.tilted.hooks.increment_sampler(rng_b, t, n)
     wt = np.exp(-tilt.nu0 * x_til)
     out = []
-    for name, f in funcs:
+    for name, f in _TEST_FUNCTIONS:
         a = f(x_dir)
         b = f(x_til) * wt
         da = float(np.mean(a))

@@ -32,11 +32,13 @@ __all__ = [
     "overshoot_law_experiment",
     "as_stability_experiment",
     "appendix_demo",
-    "default_hist_edges",
 ]
 
 _BAND_REL = 0.02          # relative slack added to 3 standard errors
 _CENSOR_LIMIT = 0.01      # tolerated censoring for upward-drifting models
+# geometric bins for positive overshoots, wide enough for every model
+_HIST_EDGES = np.geomspace(1e-6, 1e6, 49)
+_HIST_EDGES.setflags(write=False)
 
 
 @dataclass
@@ -72,11 +74,6 @@ class RunningStat:
         return {"n": self.n, "mean": self.mean, "m2": self.m2}
 
 
-def default_hist_edges() -> np.ndarray:
-    """Geometric bin edges for positive overshoots, wide enough to share."""
-    return np.geomspace(1e-6, 1e6, 49)
-
-
 @dataclass
 class OvershootHist:
     """Histogram of overshoots with the exact-zero creep atom separate."""
@@ -86,16 +83,14 @@ class OvershootHist:
     counts: np.ndarray
 
     @classmethod
-    def from_values(cls, overshoots: np.ndarray,
-                    edges: Optional[np.ndarray] = None) -> "OvershootHist":
-        if edges is None:
-            edges = default_hist_edges()
+    def from_values(cls, overshoots: np.ndarray) -> "OvershootHist":
+        edges = _HIST_EDGES
         overshoots = np.asarray(overshoots, dtype=float)
         zero = int(np.sum(overshoots == 0.0))
         pos = overshoots[overshoots > 0.0]
         clipped = np.clip(pos, edges[0], np.nextafter(edges[-1], 0.0))
         counts, _ = np.histogram(clipped, bins=edges)
-        return cls(zero_mass=zero, edges=np.asarray(edges), counts=counts)
+        return cls(zero_mass=zero, edges=edges, counts=counts)
 
     @property
     def total_mass(self) -> int:
@@ -147,8 +142,8 @@ class ExperimentResult:
         return self.g_ratio.se
 
     @classmethod
-    def from_batch(cls, batch, rho_list: Sequence[float] = (),
-                   edges: Optional[np.ndarray] = None) -> "ExperimentResult":
+    def from_batch(cls, batch,
+                   rho_list: Sequence[float] = ()) -> "ExperimentResult":
         ru = batch.ruined
         tr = batch.tau[ru] / batch.u
         gr = batch.g_last_max[ru] / batch.u
@@ -162,7 +157,7 @@ class ExperimentResult:
         return cls(u=batch.u, n=batch.n, n_censored=batch.n - int(ru.sum()),
                    tau_ratio=RunningStat.from_values(tr),
                    g_ratio=RunningStat.from_values(gr),
-                   overshoot_hist=OvershootHist.from_values(ov, edges),
+                   overshoot_hist=OvershootHist.from_values(ov),
                    weighted_tau=wt, weighted_g=wg)
 
     def to_dict(self) -> dict:
@@ -284,6 +279,9 @@ def _passage_grid(model, cfg, u_grid, n, rho_list, seed):
 
 
 def _ratio_report(kind, model, cfg, u_grid, n, rho_list, seed, regime):
+    """Per-level means of G/u for kind "g", else of tau/u, against the
+    classifier limit; "mean-exit" infers a mean regime, the others a
+    probability regime."""
     u_grid = _check_grid(u_grid)
     if n < 100:
         raise ValueError("ratio experiments need n >= 100")
@@ -291,14 +289,16 @@ def _ratio_report(kind, model, cfg, u_grid, n, rho_list, seed, regime):
     if seed is None:
         seed = cfg.seed
     if regime is None:
-        regime = _infer_regime(u_grid, Regime.PROB_SMALL, Regime.PROB_LARGE)
+        regime = _infer_regime(u_grid, Regime.MEAN_SMALL, Regime.MEAN_LARGE) \
+            if kind == "mean-exit" else \
+            _infer_regime(u_grid, Regime.PROB_SMALL, Regime.PROB_LARGE)
     _check_preconditions(model, regime)
     cls = classify_stability(model, regime)
     stable = cls.holds == "yes"
     target = 1.0 / cls.c if stable and cls.c > 0.0 else math.nan
     results, medians = _passage_grid(model, cfg, u_grid, n, rho_list, seed)
     _check_censoring(model, results)
-    stats = [r.tau_ratio if kind == "tau" else r.g_ratio for r in results]
+    stats = [r.g_ratio if kind == "g" else r.tau_ratio for r in results]
     verdicts = [_verdict_for(s, target) for s in stats]
     # the grid point nearest the limit decides; for an unstable model the
     # experiment is evidence, not a hypothesis test
@@ -329,29 +329,12 @@ def mean_exit_experiment(model: LevyModel, cfg: Optional[SimConfig],
                          u_grid, n: int, seed: Optional[int] = None,
                          regime: Optional[Regime] = None) -> StabilityReport:
     """E tau_u / u across a level grid against the first-moment limit."""
-    u_grid = _check_grid(u_grid)
-    if n < 100:
-        raise ValueError("ratio experiments need n >= 100")
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
-    if regime is None:
-        regime = _infer_regime(u_grid, Regime.MEAN_SMALL, Regime.MEAN_LARGE)
     if model.hooks.drifts_to is not None and model.hooks.drifts_to != 1:
         raise ModelError(
             "expected exit times are finite only for models drifting to "
             "+inf; mean-exit experiments are not defined here")
-    _check_preconditions(model, regime)
-    cls = classify_stability(model, regime)
-    stable = cls.holds == "yes"
-    target = 1.0 / cls.c if stable and cls.c > 0.0 else math.nan
-    results, medians = _passage_grid(model, cfg, u_grid, n, (), seed)
-    _check_censoring(model, results)
-    verdicts = [_verdict_for(r.tau_ratio, target) for r in results]
-    overall = verdicts[-1] if stable else "inconclusive"
-    return StabilityReport(kind="mean-exit", regime=regime.value,
-                           classifier=cls, target=target, results=results,
-                           verdicts=verdicts, verdict=overall,
-                           medians=medians)
+    return _ratio_report("mean-exit", model, cfg, u_grid, n, (), seed,
+                         regime)
 
 
 def overshoot_law_experiment(model: LevyModel, cfg: Optional[SimConfig],
@@ -416,6 +399,14 @@ def as_stability_experiment(model: LevyModel, cfg: Optional[SimConfig],
     needs at least min_fraction of paths to pass.
     """
     levels = _check_grid(levels)
+    if not 1 <= tail_window <= len(levels):
+        raise ValueError(f"tail_window: must be from 1 to the number of "
+                         f"levels ({len(levels)}), got {tail_window!r}")
+    if not (math.isfinite(band) and band > 0.0):
+        raise ValueError(f"band: must be finite and positive, got {band!r}")
+    if not 0.0 < min_fraction <= 1.0:
+        raise ValueError(f"min_fraction: must be in (0, 1], got "
+                         f"{min_fraction!r}")
     if np.any(np.diff(levels) < 0.0):
         levels = levels[::-1].copy()
     cfg = cfg or SimConfig()

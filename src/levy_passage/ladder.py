@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
+from .cramer import solve_lundberg
 from .models import Family, LevyModel, ModelError, cumulant, process_mean
 from .rng import stream, substream
 from .simulate import SimConfig, extract_ladder, prepare, simulate_passage
@@ -107,39 +108,16 @@ def _phi(model: LevyModel, a: float, phi0: float) -> float:
     return float(brentq(psi, lo, hi, rtol=1e-13, xtol=1e-300))
 
 
-def _phi_zero(model: LevyModel) -> float:
-    """Largest zero of the cumulant (0 unless the mean is negative)."""
-    mean = process_mean(model)
-    if not mean < 0.0:
-        return 0.0
-    lo = 1e-6
-    while cumulant(model, lo) >= 0.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    hi = lo
-    for _ in range(300):
-        hi *= 2.0
-        v = cumulant(model, hi)
-        if v > 0.0:
-            return float(brentq(lambda x: cumulant(model, x), lo, hi,
-                                rtol=1e-13, xtol=1e-300))
-        lo = hi
-    raise ModelError("cumulant never becomes positive; no upward ladder zero")
-
-
 def kappa_spectrally_negative(model: LevyModel, a: float, b: float) -> float:
     """kappa(a, b) = Phi(a) + b for spectrally negative models."""
-    _require_spectrally_negative(model)
-    if b < 0.0:
-        raise ValueError("transform argument must be nonnegative")
-    return _phi(model, a, _phi_zero(model)) + b
+    return sn_exponent(model)(a, b)
 
 
 def sn_exponent(model: LevyModel) -> LadderExponent:
     """Closed-form ladder exponent under the Phi normalization."""
     _require_spectrally_negative(model)
-    phi0 = _phi_zero(model)
+    # the largest zero of the cumulant, 0 unless the mean is negative
+    phi0 = solve_lundberg(model) if process_mean(model) < 0.0 else 0.0
     if model.sigma2 == 0.0 and model.is_bv():
         d_l_inv = 1.0 / model.drift_bv()   # Phi(a) ~ a/drift for large a
     else:
@@ -167,12 +145,10 @@ class _Tau1Cache:
     most once behind a lock; afterwards reads are lock-free.
     """
 
-    def __init__(self, a_param: float, n: int, seed: int):
+    def __init__(self, a_param: float):
         if not a_param > 1.0:
             raise ModelError("the unit-Poisson family needs slope > 1")
         self.a_param = a_param
-        self.n = n
-        self.seed = seed
         self._samples: Optional[np.ndarray] = None
         self._lock = threading.Lock()
         self._memo: dict = {}
@@ -186,11 +162,11 @@ class _Tau1Cache:
         return self._samples
 
     def _draw(self) -> np.ndarray:
-        rng = substream(self.seed, 427001)
+        rng = substream(_TAU1_SEED, 427001)
         a = self.a_param
-        ext = np.full(self.n, 1.0 / a)
+        ext = np.full(_TAU1_N, 1.0 / a)
         tau = ext.copy()
-        idx = np.arange(self.n)
+        idx = np.arange(_TAU1_N)
         while idx.size:
             k = rng.poisson(ext[idx])
             add = k / a
@@ -213,17 +189,18 @@ class _Tau1Cache:
         return float(np.mean(self.samples))
 
 
+_TAU1_N = 1_000_000        # samples of tau_1 per slope
+_TAU1_SEED = 20231
 _TAU1_CACHES: dict = {}
 _TAU1_LOCK = threading.Lock()
 
 
-def tau1_transform_cache(a_param: float, n: int = 1_000_000,
-                         seed: int = 20231) -> _Tau1Cache:
-    key = (float(a_param), int(n), int(seed))
+def tau1_transform_cache(a_param: float) -> _Tau1Cache:
+    key = float(a_param)
     with _TAU1_LOCK:
         cache = _TAU1_CACHES.get(key)
         if cache is None:
-            cache = _Tau1Cache(float(a_param), int(n), int(seed))
+            cache = _Tau1Cache(key)
             _TAU1_CACHES[key] = cache
     return cache
 

@@ -284,10 +284,11 @@ def _cumulant_quadrature(model: LevyModel, nu: float) -> float:
     return out
 
 
-def cumulant_derivative(model: LevyModel, nu: float, h: float = 1e-6) -> float:
+def cumulant_derivative(model: LevyModel, nu: float) -> float:
     """d/dnu log E e^{nu X_1}, via hook or a guarded central difference."""
     if model.hooks.cumulant_prime is not None:
         return model.hooks.cumulant_prime(nu)
+    h = 1e-6
     lo, hi = cumulant(model, nu - h), cumulant(model, nu + h)
     if math.isinf(hi) or math.isinf(lo):
         # one-sided fallback near the integrability edge
@@ -778,7 +779,10 @@ def default_grid(regime: Regime, decades: float = 8.0, points: int = 17):
     return np.logspace(0.0, decades, points)
 
 
-def _scan_limit(values, rtol: float):
+_CLASSIFY_RTOL = 0.05     # relative tolerance of the grid-limit scans
+
+
+def _scan_limit(values):
     """Classify the tail of a sequence ordered toward its limit point.
 
     Returns ("stable", limit), ("diverging", sign) or ("unknown", None).
@@ -786,7 +790,7 @@ def _scan_limit(values, rtol: float):
     v = [float(x) for x in values]
     v1, v2, v3 = v[-3], v[-2], v[-1]
     scale = 1.0 + abs(v3)
-    tol = rtol * scale
+    tol = _CLASSIFY_RTOL * scale
     spread = max(v1, v2, v3) - min(v1, v2, v3)
     d1, d2 = v2 - v1, v3 - v2
     monotone = (d1 * d2 >= 0.0) or (abs(d1) <= tol and abs(d2) <= tol)
@@ -811,7 +815,7 @@ def _grid_evidence(model: LevyModel, grid):
 
 
 def classify_stability(model: LevyModel, regime: Regime,
-                       grid=None, rtol: float = 0.05) -> StabilityVerdict:
+                       grid=None) -> StabilityVerdict:
     """Decide whether tau_u / u converges in the given regime.
 
     Convergence-in-probability regimes scan the truncated mean A(x) and the
@@ -835,32 +839,32 @@ def classify_stability(model: LevyModel, regime: Regime,
         raise ModelError("grid must run toward the regime's limit point")
 
     if regime in (Regime.PROB_LARGE, Regime.PROB_SMALL):
-        return _classify_prob(model, regime, grid, rtol)
+        return _classify_prob(model, regime, grid)
     if regime in (Regime.AS_LARGE, Regime.AS_SMALL):
         return _classify_as(model, regime, grid)
     return _classify_mean(model, regime, grid)
 
 
-def _classify_prob(model, regime, grid, rtol):
+def _classify_prob(model, regime, grid):
     if regime is Regime.PROB_SMALL and model.sigma2 > 0.0:
         return StabilityVerdict(
             regime, math.inf, "no", (),
             "Gaussian component dominates small times; the maximum ratio "
             "explodes and tau_u/u -> 0")
     evidence = _grid_evidence(model, grid)
-    a_state, a_val = _scan_limit([r[1] for r in evidence], rtol)
+    a_state, a_val = _scan_limit([r[1] for r in evidence])
     z_vals = [r[2] for r in evidence]
     if a_state == "stable":
-        z_tol = rtol * (1.0 + abs(a_val))
+        z_tol = _CLASSIFY_RTOL * (1.0 + abs(a_val))
         z_last = z_vals[-3:]
         z_vanishes = (max(z_last) <= z_tol
                       and z_last[2] <= z_last[0] + 0.5 * z_tol)
-        if a_val > rtol:
+        if a_val > _CLASSIFY_RTOL:
             if z_vanishes:
                 return StabilityVerdict(
                     regime, a_val, "yes", evidence,
                     f"A(x) -> {a_val:.6g} with x*Pibar(x) vanishing")
-            z_state, z_val = _scan_limit(z_vals, rtol)
+            z_state, z_val = _scan_limit(z_vals)
             if z_state == "stable" and z_val > z_tol:
                 return StabilityVerdict(
                     regime, math.nan, "no", evidence,

@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 _EPSREL = 1e-11
+_PANEL_RTOL = 1e-10     # a panel this small relative to the sum ends it
 _HUGE = 1e200
 
 
@@ -51,7 +52,7 @@ def integrate_tail(f, a: float, b: float, breakpoints=()) -> float:
     return total
 
 
-def integrate_tail_to_zero(f, b: float, breakpoints=(), rtol=1e-10) -> float:
+def integrate_tail_to_zero(f, b: float, breakpoints=()) -> float:
     """Integral of f over (0, b) assuming convergence at 0.
 
     Decade panels b*10^-k are accumulated downward until one falls below the
@@ -65,13 +66,13 @@ def integrate_tail_to_zero(f, b: float, breakpoints=(), rtol=1e-10) -> float:
         lo = hi / 10.0
         piece = integrate_tail(f, lo, hi, breakpoints)
         total += piece
-        if abs(piece) <= rtol * max(abs(total), 1e-300):
+        if abs(piece) <= _PANEL_RTOL * max(abs(total), 1e-300):
             return total
         hi = lo
     return total
 
 
-def integrate_tail_to_inf(f, a: float, breakpoints=(), rtol=1e-10):
+def integrate_tail_to_inf(f, a: float, breakpoints=()):
     """Integral of f over (a, inf); returns +inf when panels stop decaying.
 
     Doubling panels [a, 2a], [2a, 4a], ... are summed until one falls below
@@ -90,7 +91,7 @@ def integrate_tail_to_inf(f, a: float, breakpoints=(), rtol=1e-10):
         total += piece
         if abs(total) > _HUGE or not math.isfinite(total):
             return math.inf
-        if abs(piece) <= rtol * max(abs(total), 1e-300):
+        if abs(piece) <= _PANEL_RTOL * max(abs(total), 1e-300):
             return total
         if abs(piece) >= prev:
             growing += 1

@@ -63,13 +63,12 @@ _DIFFUSION_BLOCK = 4096    # substeps drawn at once by the diffusion passage
 
 @dataclass
 class SimConfig:
-    """Engine tuning knobs.
+    """Simulation settings.
 
     epsilon: jump-size cutoff for infinite-activity measures.
     dt: substep length of the Gaussian skeleton.
     horizon: censor time; passages not seen by then count as censored.
     seed: default stream seed for batch entry points.
-    bridge_correction: sample the Brownian-bridge maximum of each substep.
     rate_cap: refuse cutoffs producing a jump intensity above this.
     """
 
@@ -77,7 +76,6 @@ class SimConfig:
     dt: float = 1e-2
     horizon: float = 1e6
     seed: int = 0
-    bridge_correction: bool = True
     rate_cap: float = 1e7
 
     def __post_init__(self):
@@ -226,10 +224,11 @@ def prepare(model: Union[LevyModel, PreparedModel],
                          sampler.draw if rate > 0.0 else None, sigma2)
 
 
-def cutoff_for_rate(model: LevyModel, target_rate: float,
-                    lo: float = 1e-12, hi: float = 10.0) -> float:
-    """Cutoff epsilon whose retained jump intensity is about target_rate."""
+def cutoff_for_rate(model: LevyModel, target_rate: float) -> float:
+    """Cutoff epsilon in [1e-12, 10] whose retained jump intensity is about
+    target_rate."""
     tail = model.measure.total_tail
+    lo, hi = 1e-12, 10.0
     if tail(lo) <= target_rate:
         return lo
     for _ in range(200):
@@ -274,8 +273,8 @@ def _skeleton_steps(p: PreparedModel, rng, horizon: float, bridge: bool):
     Yields (t, step, x0, x1, m) for a substep from time t to t + step that
     moves from x0 to x1 with maximum m: the sampled Brownian-bridge maximum
     when bridge is set, else max(x0, x1). Yields (t, None, x0, x1, None)
-    for a jump at time t from x0 to x1. The bridge uniform is drawn only
-    when bridge is set.
+    for a jump at time t from x0 to x1. Only the ladder walk, which reads
+    no maximum, clears bridge, so that it draws no bridge uniform.
     """
     b = p.drift
     sig2 = p.sigma2
@@ -374,8 +373,7 @@ def _first_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
         return _record(u, u / d if d > 0.0 else math.inf, horizon) \
             if p.exact else _diffusion_passage(p, u, rng)
     if not p.exact:
-        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon,
-                                                  p.cfg.bridge_correction):
+        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon, True):
             if step is None:            # a jump at t from x0 to x1
                 if x1 > u:
                     return _record(u, t, x=x1, under=u - max(mx, x0),
@@ -423,8 +421,7 @@ def _diffusion_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
         lu = np.log(rng.random(nblock))
         x1 = x + np.cumsum(b * dt + sqdt * z)
         x0 = np.concatenate(([x], x1[:-1]))
-        m = _bridge_max(x0, x1, sig * sig * dt, lu) \
-            if p.cfg.bridge_correction else np.maximum(x0, x1)
+        m = _bridge_max(x0, x1, sig * sig * dt, lu)
         hit = np.flatnonzero(m > u)
         if hit.size:
             k = int(hit[0])
@@ -446,8 +443,7 @@ def _fixed_time(p: PreparedModel, horizon: float, rng) -> tuple:
     d = p.drift
     x = mx = g = 0.0
     if not p.exact:
-        for t, step, _, x, m in _skeleton_steps(p, rng, horizon,
-                                                p.cfg.bridge_correction):
+        for t, step, _, x, m in _skeleton_steps(p, rng, horizon, True):
             top = x if step is None else m
             if top >= mx:
                 mx, g = float(top), t if step is None else t + step
@@ -475,8 +471,7 @@ def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
     mx = 0.0
     nxt = 0  # first level not yet crossed
     if not p.exact:
-        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon,
-                                                  p.cfg.bridge_correction):
+        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon, True):
             top = x1 if step is None else m
             while nxt < len(levels) and levels[nxt] < top:
                 u = levels[nxt]

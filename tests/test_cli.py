@@ -288,6 +288,31 @@ def test_small_n_exits_one(tmp_path, capsys):
     assert "n >= 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("as-stability", "tail_window", 0),
+    ("as-stability", "tail_window", 5),
+    ("as-stability", "tail_window", 2.9),
+    ("as-stability", "band", "x"),
+    ("as-stability", "band", 0.0),
+    ("as-stability", "band", math.inf),
+    ("as-stability", "min_fraction", 0.0),
+    ("as-stability", "min_fraction", 1.5),
+    ("stability", "rho_list", "12"),
+    ("stability", "rho_list", [1.0, "a"]),
+    ("overshoot", "rho_list", [math.nan]),
+    ("lt-identity", "allow_empirical", "false"),
+])
+def test_bad_experiment_keys_exit_one_naming_the_field(tmp_path, capsys,
+                                                      command, key, value):
+    path = dmp_cfg(tmp_path, regime="as-small", n=100, u_grid=[1.0],
+                   levels=[0.064, 0.016, 0.004, 0.001],
+                   transform={"mu": 1.0}, **{key: value})
+    assert main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") or \
+        err.startswith(f"error: config.{key}:"), err
+
+
 def test_unwritable_out_exits_one(tmp_path, capsys):
     path = dmp_cfg(tmp_path, regime="prob-large")
     out = str(tmp_path / "no" / "such" / "dir" / "x.csv")

@@ -4,14 +4,16 @@ Every failure mode should name the offending field path, so most of these
 tests pin the message as well as the exception type.
 """
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from levy_passage.config import (EXPERIMENTS, ConfigError, load_config,
-                                 model_from_config, regime_from_config,
-                                 sim_from_config, u_grid_from_config)
+from levy_passage.config import (_SIM_KEYS, EXPERIMENTS, ConfigError,
+                                 load_config, model_from_config,
+                                 regime_from_config, sim_from_config,
+                                 u_grid_from_config)
 from levy_passage.models import Family, Regime
 from levy_passage.simulate import SimConfig
 
@@ -171,6 +173,13 @@ def test_sim_rate_cap_must_be_positive():
 def test_sim_rejects_unknown_fields(key):
     with pytest.raises(ConfigError, match=rf"^sim\.{key}: unknown field"):
         sim_from_config({"sim": {key: 0}})
+
+
+def test_every_sim_field_but_the_seed_is_a_config_key():
+    # a SimConfig field that no config file can set is a knob nothing
+    # reaches outside the tests
+    names = {f.name for f in dataclasses.fields(SimConfig)} - {"seed"}
+    assert names == set(_SIM_KEYS)
 
 
 def test_nan_dt_in_a_config_file_exits_one(tmp_path, capsys):

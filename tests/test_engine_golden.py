@@ -38,7 +38,6 @@ JD = custom_model(gamma=1.0, sigma2=1.0, pos_tail=EXP2, neg_tail=EXP2)
 
 LONG = SimConfig(horizon=60.0, dt=0.05)
 SHORT = SimConfig(horizon=1.5, dt=0.05)
-PLAIN = SimConfig(horizon=60.0, dt=0.05, bridge_correction=False)
 LEVELS = np.array([0.3, 0.7, 1.5, 3.0, 6.0])
 
 
@@ -118,7 +117,6 @@ CASES = {
     # gaussian skeleton with jumps
     "skeleton-jumps-passage": lambda: _passage(JD, 2.0, LONG, n=100),
     "skeleton-jumps-passage-short": lambda: _passage(JD, 4.0, SHORT, n=100),
-    "skeleton-jumps-passage-plain": lambda: _passage(JD, 2.0, PLAIN, n=100),
     "skeleton-jumps-fixed": lambda: _fixed(JD, 2.0, LONG, n=100),
     "skeleton-jumps-coupled": lambda: _coupled(JD, LONG, n=20),
     "skeleton-jumps-coupled-short": lambda: _coupled(JD, SHORT, n=20),
@@ -128,7 +126,6 @@ CASES = {
     "diffusion-passage": lambda: _passage(BD, 2.0, LONG),
     "diffusion-passage-default": lambda: _passage(BD, 5.0, None, n=50),
     "diffusion-passage-short": lambda: _passage(BD, 4.0, SHORT),
-    "diffusion-passage-plain": lambda: _passage(BD, 2.0, PLAIN),
     "diffusion-fixed": lambda: _fixed(BD, 2.0, LONG, n=100),
     "diffusion-coupled": lambda: _coupled(BD, LONG, n=20),
     "diffusion-ladder": lambda: _ladder(BD, SimConfig(horizon=10.0,
@@ -159,8 +156,6 @@ GOLDEN = {
         "ec8d8a14cf7c5346be09466b0f823a2e03c3bd0f7a32d3a07aa8f2865d581990",
     "diffusion-passage-default":
         "621aca399a8f748e63995d47b6257133b6adf490acbbe4423a2c75d03916cd0f",
-    "diffusion-passage-plain":
-        "642b0fbdb10ca49412875f26e30d6274fb40cf1089a810ac9ff99faa606d9185",
     "diffusion-passage-short":
         "fa7bbac3d7143c8c1a97d905c604bb08e38ffa500de9aab9e3d2e94d1ea575c4",
     "exact-cl-coupled":
@@ -223,8 +218,6 @@ GOLDEN = {
         "3181cf19722529da241e76ed12e59696cb508302ace9c75cef45e2433d488b70",
     "skeleton-jumps-passage":
         "db3776204ed45fbd062cffc2d9b8667eac498a3f032ef2eb0ede8ea7b79eb8e0",
-    "skeleton-jumps-passage-plain":
-        "695d9817cd2e25fab2ec640cdbcd565140cc8fe5cc5719ef56bb431387601d57",
     "skeleton-jumps-passage-short":
         "a7a029b1c1b51eb8b6b702f0b6d98ebc5d1cfd5ac7258779bf25ce0cdbc86dd3",
 }

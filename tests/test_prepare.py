@@ -19,9 +19,8 @@ from levy_passage.measures import JumpMeasure
 from levy_passage.models import (brownian_drift, cramer_lundberg,
                                  custom_model, drift_minus_poisson)
 from levy_passage.rng import stream
-from levy_passage.simulate import (SimConfig, extract_ladder, prepare,
-                                   ratio_path, ratio_paths, sample_at_time,
-                                   simulate_passage)
+from levy_passage.simulate import (SimConfig, prepare, ratio_path,
+                                   ratio_paths, simulate_passage)
 
 EXP2 = "pow(2.718281828459045, -2*x)"
 JD = custom_model(gamma=1.0, sigma2=1.0, pos_tail=EXP2, neg_tail=EXP2)
@@ -96,25 +95,13 @@ def test_ruin_grid_keys_level_i_as_seed_plus_i():
         assert ests[i].to_dict() == alone.to_dict()
 
 
-@pytest.mark.parametrize("bridge", [True, False])
-def test_coupled_levels_match_single_passages(bridge):
-    # both consumers draw the bridge uniform under the same switch, so on
-    # one stream they walk one path and agree bit for bit at every level
-    p = prepare(JD, SimConfig(horizon=8.0, dt=0.05, bridge_correction=bridge))
+def test_coupled_levels_match_single_passages():
+    # both consumers draw the bridge uniform of every substep, so on one
+    # stream they walk one path and agree bit for bit at every level
+    p = prepare(JD, SimConfig(horizon=8.0, dt=0.05))
     levels = np.array([0.5, 1.5, 3.0, 6.0])
     for r in range(10):
         taus = ratio_path(p, levels, stream(21, 0, r))
         for u, tau in zip(levels, taus):
             rec = simulate_passage(p, float(u), stream(21, 0, r))
             assert (rec.tau == tau) if rec.ruined else math.isnan(tau)
-
-
-def test_fixed_time_max_without_bridge_is_the_ladder_height():
-    # with the bridge off the fixed-time walk draws what the ladder walk
-    # draws, so its running max is the sum of the ladder heights
-    p = prepare(JD, SimConfig(horizon=5.0, dt=0.05, bridge_correction=False))
-    for r in range(10):
-        _, mx, _ = sample_at_time(p, 5.0, stream(22, 0, r))
-        epochs = extract_ladder(p, rng=stream(22, 0, r)).epochs
-        heights = sum(h for _, h in epochs)
-        assert mx == pytest.approx(heights, rel=1e-12, abs=1e-12)
