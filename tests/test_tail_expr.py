@@ -1,5 +1,11 @@
-"""Grammar tests for user-specified tail expressions."""
+"""Grammar tests for user-specified tail expressions.
 
+Print the digest of the evaluation fixture with
+
+    PYTHONPATH=src python tests/test_tail_expr.py
+"""
+
+import hashlib
 import math
 
 import numpy as np
@@ -66,3 +72,57 @@ def test_malformed_expressions_raise(bad):
 def test_error_reports_position():
     with pytest.raises(TailExprError, match="position"):
         parse_tail_expr("1 + qux")
+
+
+# Expressions of the README and the benchmark, of the tests above, of the
+# paper's counterexample tails, nested pow/ln and unary chains. The digest of
+# their values on Python floats and on an array, with each result's type and
+# dtype, pins the arithmetic bit for bit across any rewrite of the parser.
+FIXTURE_EXPRS = (
+    "pow(2.718281828459045, -2*x)",
+    "pow(2.718281828459045, -x)",
+    "1 + 2 * x - 6 / 3",
+    "-(x - 1) * 2",
+    "ln(x) / ln(2)",
+    "pow(x, -1.5)",
+    "1e-3 + 2.5E2 * x",
+    "pow(x, -2) / 2",
+    "pow(ln(x + 1), 2)",
+    "1 / (1 + x)",
+    "1/(x*ln(x)*ln(x))",
+    "pow(x, -1) / -ln(x)",
+    "pow(ln(pow(x, 2) + 1), pow(x, 0.5))",
+    "ln(pow(ln(1 + x), 2) + ln(2 + pow(x, -0.5)))",
+    "--x",
+    "- - -x",
+    "-x * -2 - -1",
+    "1 - -pow(-x, 2) / -(-3)",
+    "1 - x / 2 / 4 - 3 - x * 2 * .5",
+    " \t1 /\n(x + .5)  ",
+    "0",
+    "2.5",
+    "x",
+)
+FIXTURE_POINTS = (-1.0, 0.0, 1e-9, 1e-3, 0.25, 0.5, 1.0, math.e - 1.0, 2.0,
+                  8.0, 1e3)
+FIXTURE_DIGEST = (
+    "e466c21ec2e0cadc1541fd7aba286c90feddf463a38dcc474c14c282835c55d5")
+
+
+def fixture_digest() -> str:
+    h = hashlib.sha256()
+    for src in FIXTURE_EXPRS:
+        f = parse_tail_expr(src)
+        for x in FIXTURE_POINTS + (np.geomspace(1e-8, 1e8, 65),):
+            y = f(x)
+            h.update(f"{type(y).__name__} {np.asarray(y).dtype}".encode())
+            h.update(np.asarray(y).tobytes())
+    return h.hexdigest()
+
+
+def test_evaluation_fixture_is_bitwise_golden():
+    assert fixture_digest() == FIXTURE_DIGEST
+
+
+if __name__ == "__main__":
+    print(fixture_digest())
