@@ -19,9 +19,8 @@ from typing import Optional
 
 from . import __version__
 from .config import (EXPERIMENTS, ConfigError, load_config,
-                     model_from_config, regime_from_config,
-                     rho_list_from_config, sim_from_config,
-                     u_grid_from_config, _get)
+                     model_from_config, regime_from_config, sim_from_config,
+                     u_grid_from_config, _finite, _get, _numbers)
 from .cramer import conditional_stability_experiment, ruin_grid
 from .experiments import (appendix_demo, as_stability_experiment,
                           g_stability_experiment, mean_exit_experiment,
@@ -133,7 +132,7 @@ def _dispatch(command: str, cfg: dict, args) -> int:
     if command in ("stability", "last-max", "mean-exit"):
         grid = u_grid_from_config(cfg)
         regime = regime_from_config(cfg)
-        rho = rho_list_from_config(cfg, [])
+        rho = _numbers(cfg, "rho_list", "config", [])
         fn = {"stability": tau_stability_experiment,
               "last-max": g_stability_experiment}.get(command)
         if fn is not None:
@@ -175,7 +174,7 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         grid = u_grid_from_config(cfg)
         if len(grid) != 1:
             raise ConfigError("u_grid: overshoot takes exactly one level")
-        rho = rho_list_from_config(cfg, [0.0, 1.0])
+        rho = _numbers(cfg, "rho_list", "config", [0.0, 1.0])
         result = overshoot_law_experiment(model, sim, grid[0], n, rho,
                                           seed=sim.seed)
         zero = result.overshoot_hist.zero_mass
@@ -193,11 +192,9 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         kappa = exponent_for(model, allow_empirical=_get(
             cfg, "allow_empirical", bool, "config", default=False), cfg=sim)
         report = verify_lt_identity(
-            model, kappa, mu=_get(tr, "mu", float, "transform"),
-            rho=_get(tr, "rho", float, "transform", default=0.0),
-            lam=_get(tr, "lam", float, "transform", default=0.0),
-            nu=_get(tr, "nu", float, "transform", default=0.0),
-            theta=_get(tr, "theta", float, "transform", default=0.0),
+            model, kappa, mu=_get(tr, "mu", _finite, "transform"),
+            **{k: _get(tr, k, _finite, "transform", default=0.0)
+               for k in ("rho", "lam", "nu", "theta")},
             n=n, seed=sim.seed, cfg=sim)
         verdict = "pass" if abs(report["z"]) <= 3.0 else "fail"
         print(f"lt-identity: lhs={report['lhs']:.6g} rhs={report['rhs']:.6g} "

@@ -18,6 +18,7 @@ from .models import (LevyModel, Regime, brownian_drift,
                      drift_minus_poisson, make_counterexample1,
                      make_counterexample2, spectrally_negative)
 from .simulate import SimConfig
+from .tail_expr import parse_tail_expr
 
 __all__ = [
     "ConfigError",
@@ -53,10 +54,39 @@ def load_config(path: str) -> dict:
 
 
 _MISSING = object()
-# accepted JSON types and their name in messages, per requested kind
-_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+
+
+def _finite(v) -> float:
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _support(v) -> float:
+    # a jump support is finite, or Infinity for an unbounded side
+    return v if v == math.inf else _finite(v)
+
+
+_NUMBER = ((int, float), "a number")
+# accepted JSON types and their name in messages, per kind; a kind is also
+# the function that turns the checked value into the field's value
+_KINDS = {float: _NUMBER, _finite: ((int, float), "a finite number"),
+          _support: _NUMBER, int: (int, "an integer"),
           bool: (bool, "true or false"), str: (str, "a string"),
-          dict: (dict, "an object"), list: (list, "an array")}
+          parse_tail_expr: (str, "a string"), dict: (dict, "an object"),
+          list: (list, "an array")}
+
+
+def _check(val, kind, field: str):
+    types, name = _KINDS[kind]
+    # a JSON true/false is a Python int, so only the bool kind accepts one
+    if isinstance(val, bool) != (kind is bool) or not isinstance(val, types):
+        raise ConfigError(f"{field}: expected {name}, got "
+                          f"{type(val).__name__}")
+    try:
+        return kind(val)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field}: {exc}") from None
 
 
 def _get(d: dict, key: str, kind, path: str, default=_MISSING):
@@ -64,78 +94,71 @@ def _get(d: dict, key: str, kind, path: str, default=_MISSING):
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}: required field missing")
         return default
-    val = d[key]
-    types, name = _KINDS[kind]
-    # a JSON true/false is a Python int, so only the bool kind accepts one
-    if isinstance(val, bool) != (kind is bool) or not isinstance(val, types):
-        raise ConfigError(f"{path}.{key}: expected {name}, got "
-                          f"{type(val).__name__}")
-    return float(val) if kind is float else val
+    return _check(d[key], kind, f"{path}.{key}")
 
 
-def _law_from_config(d: dict, path: str):
-    kind = _get(d, "kind", str, path)
-    if kind == "exponential":
-        return ExponentialJump(_get(d, "alpha", float, path),
-                               sign=_get(d, "sign", int, path, default=1))
-    if kind == "uniform":
-        return UniformJump(_get(d, "lo", float, path),
-                           _get(d, "hi", float, path),
-                           theta=_get(d, "theta", float, path, default=0.0))
-    if kind == "atom":
-        return AtomJump(_get(d, "size", float, path))
-    raise ConfigError(f"{path}.kind: unknown jump law '{kind}' "
-                      "(expected exponential | uniform | atom)")
+def _numbers(d: dict, key: str, path: str, default=_MISSING) -> list:
+    """The list d[key] of finite numbers; a bad entry is named key[i]."""
+    field = key if path == "config" else f"{path}.{key}"
+    return [_check(v, _finite, f"{field}[{i}]")
+            for i, v in enumerate(_get(d, key, list, path, default))]
+
+
+def _no_unknown(d: dict, keys, path: str) -> None:
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown field (expected "
+                          f"{' | '.join(keys)})")
+
+
+def _build(table: dict, d: dict, path: str, tag: str):
+    """Call the constructor that d[tag] names in table with its fields: a
+    bare key is a required finite number, else (key, kind[, default]), where
+    a kind outside _KINDS is a reader, kind(d, key, path[, default])."""
+    name = _get(d, tag, str, path)
+    if name not in table:
+        raise ConfigError(f"{path}.{tag}: unknown {tag} '{name}' "
+                          f"(expected {' | '.join(table)})")
+    make, fields = table[name]
+    fields = [(f, _finite) if isinstance(f, str) else f for f in fields]
+    _no_unknown(d, [tag] + [f[0] for f in fields], path)
+    args = [_get(d, key, kind, path, *default) if kind in _KINDS
+            else kind(d, key, path, *default)
+            for key, kind, *default in fields]
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
+def _law(d: dict, key: str, path: str):
+    return _build(_LAWS, _get(d, key, dict, path), f"{path}.{key}", "kind")
+
+
+_LAWS = {"exponential": (ExponentialJump, ("alpha", ("sign", int, 1))),
+         "uniform": (UniformJump, ("lo", "hi", ("theta", _finite, 0.0))),
+         "atom": (AtomJump, ("size",))}
+_FAMILIES = {
+    "brownian-drift": (brownian_drift, ("drift", "sigma2")),
+    "compound-poisson-drift": (compound_poisson_drift,
+                               ("rate", ("law", _law), "drift")),
+    "drift-minus-poisson": (drift_minus_poisson, ("a",)),
+    "spectrally-negative": (spectrally_negative, ("drift", "rate", "alpha")),
+    "cramer-lundberg": (cramer_lundberg, ("lam", "alpha", "premium")),
+    "counterexample1": (make_counterexample1, ()),
+    "counterexample2": (make_counterexample2,
+                        (("beta", _finite, 0.75), ("limit", str, "zero"))),
+    "custom": (custom_model, (
+        "gamma", ("sigma2", _finite, 0.0), ("pos_tail", parse_tail_expr, "0"),
+        ("neg_tail", parse_tail_expr, "0"),
+        ("pos_support", _support, math.inf),
+        ("neg_support", _support, math.inf), ("breakpoints", _numbers, []))),
+}
 
 
 def model_from_config(cfg: dict) -> LevyModel:
-    d = _get(cfg, "model", dict, "config")
-    fam = _get(d, "family", str, "model")
-    try:
-        if fam == "brownian-drift":
-            return brownian_drift(_get(d, "drift", float, "model"),
-                                  _get(d, "sigma2", float, "model"))
-        if fam == "compound-poisson-drift":
-            law = _law_from_config(_get(d, "law", dict, "model"), "model.law")
-            return compound_poisson_drift(_get(d, "rate", float, "model"),
-                                          law,
-                                          _get(d, "drift", float, "model"))
-        if fam == "drift-minus-poisson":
-            return drift_minus_poisson(_get(d, "a", float, "model"))
-        if fam == "spectrally-negative":
-            return spectrally_negative(_get(d, "drift", float, "model"),
-                                       _get(d, "rate", float, "model"),
-                                       _get(d, "alpha", float, "model"))
-        if fam == "cramer-lundberg":
-            return cramer_lundberg(_get(d, "lam", float, "model"),
-                                   _get(d, "alpha", float, "model"),
-                                   _get(d, "premium", float, "model"))
-        if fam == "counterexample1":
-            return make_counterexample1()
-        if fam == "counterexample2":
-            return make_counterexample2(
-                _get(d, "beta", float, "model", default=0.75),
-                _get(d, "limit", str, "model", default="zero"))
-        if fam == "custom":
-            return custom_model(
-                gamma=_get(d, "gamma", float, "model"),
-                sigma2=_get(d, "sigma2", float, "model", default=0.0),
-                pos_tail=_get(d, "pos_tail", str, "model", default="0"),
-                neg_tail=_get(d, "neg_tail", str, "model", default="0"),
-                pos_support=_get(d, "pos_support", float, "model",
-                                 default=math.inf),
-                neg_support=_get(d, "neg_support", float, "model",
-                                 default=math.inf),
-                breakpoints=tuple(_get(d, "breakpoints", list, "model",
-                                       default=[])))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"model: {exc}")
-    raise ConfigError(
-        f"model.family: unknown family '{fam}' (expected brownian-drift | "
-        "compound-poisson-drift | drift-minus-poisson | spectrally-negative "
-        "| cramer-lundberg | counterexample1 | counterexample2 | custom)")
+    return _build(_FAMILIES, _get(cfg, "model", dict, "config"), "model",
+                  "family")
 
 
 _SIM_KEYS = ("epsilon", "dt", "horizon", "rate_cap")
@@ -143,10 +166,7 @@ _SIM_KEYS = ("epsilon", "dt", "horizon", "rate_cap")
 
 def sim_from_config(cfg: dict) -> SimConfig:
     d = _get(cfg, "sim", dict, "config", default={})
-    unknown = sorted(set(d) - set(_SIM_KEYS))
-    if unknown:
-        raise ConfigError(f"sim.{unknown[0]}: unknown field (expected "
-                          f"{' | '.join(_SIM_KEYS)})")
+    _no_unknown(d, _SIM_KEYS, "sim")
     base = SimConfig()
     fields = {k: _get(d, k, float, "sim", default=getattr(base, k))
               for k in _SIM_KEYS}
@@ -169,27 +189,14 @@ def regime_from_config(cfg: dict) -> Optional[Regime]:
                           f"(expected {valid})")
 
 
-def rho_list_from_config(cfg: dict, default: list) -> list:
-    rho = _get(cfg, "rho_list", list, "config", default=default)
-    for i, r in enumerate(rho):
-        if isinstance(r, bool) or not isinstance(r, (int, float)) \
-                or not math.isfinite(r):
-            raise ConfigError(f"rho_list[{i}]: expected a finite number")
-    return [float(r) for r in rho]
-
-
 def u_grid_from_config(cfg: dict, key: str = "u_grid") -> list:
-    grid = _get(cfg, key, list, "config")
+    grid = _numbers(cfg, key, "config")
     if not grid:
         raise ConfigError(f"{key}: must be nonempty")
-    out = []
     for i, v in enumerate(grid):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key}[{i}]: expected a number")
         if not v > 0.0:
             raise ConfigError(f"{key}[{i}]: levels must be positive")
-        out.append(float(v))
-    diffs = [b - a for a, b in zip(out, out[1:])]
+    diffs = [b - a for a, b in zip(grid, grid[1:])]
     if diffs and not (all(x > 0 for x in diffs) or all(x < 0 for x in diffs)):
         raise ConfigError(f"{key}: must be strictly monotone")
-    return out
+    return grid

@@ -235,8 +235,8 @@ def _check_grid(u_grid) -> np.ndarray:
     d = np.diff(u_grid)
     if not (np.all(d > 0.0) or np.all(d < 0.0)):
         raise ValueError("u_grid must be strictly monotone")
-    if np.any(u_grid <= 0.0):
-        raise ValueError("u_grid entries must be positive")
+    if not np.all(np.isfinite(u_grid) & (u_grid > 0.0)):
+        raise ValueError("u_grid entries must be finite and positive")
     return u_grid
 
 

@@ -1,19 +1,15 @@
 """Tiny arithmetic grammar for user-specified tail functions.
 
 Config files describe custom jump-size tails as expressions in the variable
-x with the operators + - * /, numeric literals, parentheses, and the two
-functions ln(e) and pow(b, e). Expressions compile to closures that accept
-scalars or numpy arrays.
-
-Grammar:
-    expr    := term (('+' | '-') term)*
-    term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | primary
-    primary := NUMBER | 'x' | 'ln' '(' expr ')'
-             | 'pow' '(' expr ',' expr ')' | '(' expr ')'
+x with the operators + - * /, unary minus, numeric literals, parentheses,
+and the two functions ln(e) and pow(b, e). Python's own parser reads the
+text, with Python's precedence; a walk over its tree accepts only those
+nodes and compiles them to closures that accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
+
+import ast
 
 import numpy as np
 
@@ -24,149 +20,78 @@ class TailExprError(ValueError):
     """Raised for malformed tail expressions, with the offending position."""
 
 
-_TWO_CHAR = ()
-_SINGLE = set("+-*/(),")
+# characters of numbers, operators and the names x, ln and pow
+_ALPHABET = frozenset("0123456789.eE+-*/(), xlnpow")
+# deepest tree accepted (CPython's own limit on nested parentheses), so
+# neither the walk nor the compiled closures can exhaust the stack
+_MAX_DEPTH = 200
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide}
+_CALLS = {"ln": (np.log, 1), "pow": (np.power, 2)}
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SINGLE:
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise TailExprError(f"bad number at position {i}: {text[i:j]!r}")
-            tokens.append(("num", i, value))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word not in ("x", "ln", "pow"):
-                raise TailExprError(f"unknown name {word!r} at position {i}")
-            tokens.append((word, i))
-            i = j
-            continue
-        raise TailExprError(f"unexpected character {c!r} at position {i}")
-    tokens.append(("end", n))
-    return tokens
+def _unary(op, arg):
+    return lambda x: op(arg(x))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise TailExprError(
-                f"expected {kind!r} at position {tok[1]} in {self.text!r}, "
-                f"found {tok[0]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise TailExprError(
-                f"trailing input at position {tok[1]} in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            node = (node, rhs, np.add if op == "+" else np.subtract)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
-            node = (node, rhs, np.multiply if op == "*" else np.divide)
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.take()
-            inner = self.unary()
-            return (inner, None, np.negative)
-        return self.primary()
-
-    def primary(self):
-        tok = self.peek()
-        kind = tok[0]
-        if kind == "num":
-            self.take()
-            return ("const", tok[2])
-        if kind == "x":
-            self.take()
-            return ("var",)
-        if kind == "ln":
-            self.take()
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return (inner, None, np.log)
-        if kind == "pow":
-            self.take()
-            self.take("(")
-            base = self.expr()
-            self.take(",")
-            expo = self.expr()
-            self.take(")")
-            return (base, expo, np.power)
-        if kind == "(":
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise TailExprError(
-            f"expected a value at position {tok[1]} in {self.text!r}")
-
-
-def _eval(node, x):
-    head = node[0]
-    if head == "const":
-        return node[1]
-    if head == "var":
-        return x
-    lhs, rhs, op = node
-    if rhs is None:
-        return op(_eval(lhs, x))
-    return op(_eval(lhs, x), _eval(rhs, x))
+def _binary(op, lhs, rhs):
+    return lambda x: op(lhs(x), rhs(x))
 
 
 def parse_tail_expr(text: str):
     """Compile an expression in x to a scalar/array callable."""
-    tree = _Parser(text).parse()
+    # whitespace only separates tokens, so one line of spaces reads the same
+    line = "".join(" " if c.isspace() else c for c in text)
+    for i, c in enumerate(line):
+        if c not in _ALPHABET:
+            raise TailExprError(f"unexpected character {c!r} at position {i}")
+    body = line.lstrip()
+    shift = len(line) - len(body)
+    try:
+        tree = ast.parse(body, mode="eval").body
+    except SyntaxError as exc:
+        raise TailExprError(f"{exc.msg} at position "
+                            f"{shift + max(exc.offset or 0, 1) - 1}") from None
+    except (RecursionError, MemoryError):
+        raise TailExprError(f"nesting deeper than {_MAX_DEPTH}") from None
+
+    def build(node, depth):
+        pos = shift + node.col_offset
+        src = body[node.col_offset:node.end_col_offset]
+        if depth > _MAX_DEPTH:
+            raise TailExprError(
+                f"nesting deeper than {_MAX_DEPTH} at position {pos}")
+        if isinstance(node, ast.Constant):
+            try:
+                value = float(src)
+            except ValueError:
+                raise TailExprError(
+                    f"bad number at position {pos}: {src!r}") from None
+            return lambda x: value
+        if isinstance(node, ast.Name) and node.id == "x":
+            return lambda x: x
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return _unary(np.negative, build(node.operand, depth + 1))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _binary(_BINARY[type(node.op)],
+                           build(node.left, depth + 1),
+                           build(node.right, depth + 1))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _CALLS and not node.keywords:
+            op, arity = _CALLS[node.func.id]
+            args = node.args
+            # a trailing comma leaves no node, only text before the ')'
+            if len(args) == arity and "," not in \
+                    body[args[-1].end_col_offset:node.end_col_offset]:
+                return (_unary if arity == 1 else _binary)(
+                    op, *[build(a, depth + 1) for a in args])
+        raise TailExprError(f"unexpected {src!r} at position {pos}")
+
+    compiled = build(tree, 1)
 
     def fn(x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _eval(tree, x)
+            return compiled(x)
 
     fn.source = text
     return fn

@@ -313,6 +313,44 @@ def test_bad_experiment_keys_exit_one_naming_the_field(tmp_path, capsys,
         err.startswith(f"error: config.{key}:"), err
 
 
+EXP2 = "pow(2.718281828459045, -2*x)"
+
+
+@pytest.mark.parametrize("command,extra,field", [
+    ("simulate", {"model": {"family": "brownian-drift", "drift": math.nan,
+                            "sigma2": 1.0}}, "model.drift"),
+    ("simulate", {"model": {"family": "spectrally-negative",
+                            "drift": math.nan, "rate": 1.0, "alpha": 1.0}},
+     "model.drift"),
+    ("simulate", {"model": {"family": "drift-minus-poisson",
+                            "a": math.inf}}, "model.a"),
+    ("stability", {"model": {"family": "custom", "gamma": 1.0,
+                             "pos_tail": EXP2, "pos_support": math.nan}},
+     "model.pos_support"),
+    ("stability", {"model": {"family": "custom", "gamma": 1.0,
+                             "breakpoints": ["a"]}}, "model.breakpoints[0]"),
+    ("classify", {"model": {"family": "custom", "gamma": 1.0, "sigma": 1.0,
+                            "pos_tail": EXP2}}, "model.sigma"),
+    ("classify", {"model": {"family": "custom", "gamma": 1.0,
+                            "pos_tail": "(" * 300 + "x" + ")" * 300}},
+     "model.pos_tail"),
+    ("classify", {"model": {"family": "custom", "gamma": 1.0,
+                            "pos_tail": "-" * 5000 + "x"}}, "model.pos_tail"),
+    ("lt-identity", {"transform": {"mu": 1.0, "rho": math.nan}},
+     "transform.rho"),
+    ("stability", {"u_grid": [1.0, math.inf]}, "u_grid[1]"),
+], ids=["nan-drift", "nan-sn-drift", "inf-a", "nan-support",
+        "breakpoint-type", "unknown-key", "parens-300", "minus-5000",
+        "nan-transform", "inf-level"])
+def test_bad_model_input_exits_one_naming_the_field(tmp_path, capsys,
+                                                    command, extra, field):
+    # each of these hung, ran, crashed or named no field before
+    path = dmp_cfg(tmp_path, **{"regime": "prob-small", "u_grid": [1.0],
+                                "n": 100, **extra})
+    assert main([command, "--config", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def test_unwritable_out_exits_one(tmp_path, capsys):
     path = dmp_cfg(tmp_path, regime="prob-large")
     out = str(tmp_path / "no" / "such" / "dir" / "x.csv")

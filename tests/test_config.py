@@ -120,7 +120,7 @@ def test_jump_law_kinds():
                 {"kind": "atom", "size": 1.0}):
         m = model_from_config({"model": dict(base, law=law)})
         assert m.measure.total_rate == pytest.approx(1.0)
-    with pytest.raises(ConfigError, match="model.law.kind"):
+    with pytest.raises(ConfigError, match="model.law.kind: unknown kind"):
         model_from_config({"model": dict(base, law={"kind": "cauchy"})})
     with pytest.raises(ConfigError, match="model.law.alpha"):
         model_from_config(
@@ -221,6 +221,8 @@ def test_u_grid_diagnostics_carry_the_index():
         u_grid_from_config({"u_grid": [1.0, 3.0, 2.0]})
     with pytest.raises(ConfigError, match=r"u_grid\[0\]"):
         u_grid_from_config({"u_grid": [True, 2.0]})
+    with pytest.raises(ConfigError, match=r"^u_grid\[1\]: expected a finite"):
+        u_grid_from_config({"u_grid": [1.0, math.inf]})
 
 
 def test_u_grid_alternate_key():
@@ -239,9 +241,53 @@ def test_experiment_names():
 
 
 def test_custom_model_tail_errors_are_config_errors():
-    with pytest.raises(ConfigError, match="model"):
+    with pytest.raises(ConfigError, match=r"^model\.pos_tail: "):
         model_from_config({"model": {"family": "custom", "gamma": 0.0,
                                      "pos_tail": "1 +"}})
+    with pytest.raises(ConfigError, match=r"^model\.neg_tail: .*nest"):
+        model_from_config({"model": {"family": "custom", "gamma": 0.0,
+                                     "neg_tail": "-" * 5000 + "x"}})
+
+
+@pytest.mark.parametrize("section,field", [
+    ({"family": "custom", "gamma": 1.0, "sigma": 1.0, "pos_tail": "0"},
+     "model.sigma"),
+    ({"family": "counterexample1", "beta": 0.5}, "model.beta"),
+    ({"family": "compound-poisson-drift", "rate": 1.0, "drift": -1.0,
+      "law": {"kind": "exponential", "alpha": 2.0, "sgn": -1}},
+     "model.law.sgn"),
+])
+def test_unknown_model_fields_are_errors(section, field):
+    with pytest.raises(ConfigError,
+                       match=rf"^{field}: unknown field \(expected "):
+        model_from_config({"model": section})
+
+
+# tests/test_cli.py runs the NaN drift, Infinity slope, NaN support and
+# non-number breakpoint through the command line
+@pytest.mark.parametrize("section,field", [
+    ({"family": "compound-poisson-drift", "rate": 1.0, "drift": -1.0,
+      "law": {"kind": "uniform", "lo": 0.0, "hi": math.inf}},
+     "model.law.hi"),
+    ({"family": "counterexample2", "beta": -math.inf}, "model.beta"),
+    ({"family": "custom", "gamma": 0.0, "pos_tail": "1 / (1 + x)",
+      "neg_support": -math.inf}, "model.neg_support"),
+    ({"family": "custom", "gamma": 0.0, "breakpoints": [1.0, math.nan]},
+     r"model.breakpoints\[1\]"),
+])
+def test_model_numbers_must_be_finite(section, field):
+    with pytest.raises(ConfigError, match=rf"^{field}: expected a finite"):
+        model_from_config({"model": section})
+
+
+def test_infinite_support_is_the_unbounded_default():
+    section = {"family": "custom", "gamma": 0.5, "pos_tail": "1 / (1 + x)",
+               "neg_tail": "1 / (1 + x)"}
+    default = model_from_config({"model": section})
+    explicit = model_from_config({"model": dict(section,
+                                                pos_support=math.inf)})
+    assert explicit.measure.pos_support == default.measure.pos_support \
+        == math.inf
 
 
 def test_counterexample2_limit_validation():

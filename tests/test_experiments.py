@@ -174,6 +174,10 @@ def test_grid_validation():
         tau_stability_experiment(DMP, None, [1.0, 3.0, 2.0], 200)
     with pytest.raises(ValueError):
         tau_stability_experiment(DMP, None, [5.0], 50)
+    # a non-finite level fails before any path is simulated
+    for bad in ([1.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            tau_stability_experiment(DMP, None, bad, 200)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,23 @@ def test_source_attribute_round_trip():
     "1..2",
     "(x",
     "x $ 2",
+    # Python syntax outside the grammar
+    "x**2",
+    "x//2",
+    "+x",
+    "0x10",
+    "1_0",
+    "1j",
+    "x # c",
+    "[x]",
+    "x.real",
+    "ln(x=1)",
+    "ln(*x)",
+    "ln(x,)",
+    "pow(x, 2,)",
+    "x, 1",
+    "e",
+    "pow",
 ])
 def test_malformed_expressions_raise(bad):
     with pytest.raises(TailExprError):
@@ -72,6 +89,23 @@ def test_malformed_expressions_raise(bad):
 def test_error_reports_position():
     with pytest.raises(TailExprError, match="position"):
         parse_tail_expr("1 + qux")
+
+
+@pytest.mark.parametrize("deep", ["(" * 300 + "x" + ")" * 300,
+                                  "-" * 5000 + "x", "-" * 201 + "x",
+                                  "x" + " + x" * 200],
+                         ids=["parens-300", "minus-5000", "minus-201",
+                              "sum-201"])
+def test_deep_nesting_is_an_error_not_a_crash(deep):
+    with pytest.raises(TailExprError, match="nest"):
+        parse_tail_expr(deep)
+
+
+def test_whitespace_only_separates_tokens():
+    f = parse_tail_expr(" \t pow(x,\n 2)\r\n/ 2 ")
+    assert f(3.0) == 4.5
+    with pytest.raises(TailExprError, match="position 6"):
+        parse_tail_expr("\n\n1 + qux")
 
 
 # Expressions of the README and the benchmark, of the tests above, of the
