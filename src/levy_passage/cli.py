@@ -18,9 +18,10 @@ import time
 from typing import Optional
 
 from . import __version__
-from .config import (EXPERIMENTS, ConfigError, load_config,
+from .config import (EXPERIMENTS, ConfigError, check_keys, load_config,
                      model_from_config, regime_from_config, sim_from_config,
-                     u_grid_from_config, _finite, _get, _numbers)
+                     u_grid_from_config, _finite, _get, _no_unknown,
+                     _numbers)
 from .cramer import conditional_stability_experiment, ruin_grid
 from .experiments import (appendix_demo, as_stability_experiment,
                           g_stability_experiment, mean_exit_experiment,
@@ -90,6 +91,7 @@ def _verdict_code(verdict: str) -> int:
 
 
 def _dispatch(command: str, cfg: dict, args) -> int:
+    check_keys(cfg, command)
     model = model_from_config(cfg)
     sim = sim_from_config(cfg)
 
@@ -189,6 +191,7 @@ def _dispatch(command: str, cfg: dict, args) -> int:
 
     if command == "lt-identity":
         tr = _get(cfg, "transform", dict, "config", default={})
+        _no_unknown(tr, ("mu", "rho", "lam", "nu", "theta"), "transform")
         kappa = exponent_for(model, allow_empirical=_get(
             cfg, "allow_empirical", bool, "config", default=False), cfg=sim)
         report = verify_lt_identity(

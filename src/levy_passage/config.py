@@ -26,12 +26,23 @@ __all__ = [
     "model_from_config",
     "sim_from_config",
     "regime_from_config",
+    "check_keys",
     "EXPERIMENTS",
 ]
 
-EXPERIMENTS = ("classify", "simulate", "stability", "as-stability",
-               "mean-exit", "last-max", "overshoot", "lt-identity",
-               "ruin", "conditional", "appendix-demo")
+# top-level keys that describe the model, the run and its levels; any
+# experiment accepts them, so one file serves several experiments
+_SHARED_KEYS = ("model", "sim", "seed", "n", "u_grid", "levels", "times",
+                "regime", "transform")
+# the options only one experiment reads, beyond the shared keys
+_OPTIONS = {
+    "classify": (), "simulate": (), "stability": ("rho_list",),
+    "as-stability": ("band", "tail_window", "min_fraction"),
+    "mean-exit": (), "last-max": ("rho_list",), "overshoot": ("rho_list",),
+    "lt-identity": ("allow_empirical",), "ruin": (), "conditional": (),
+    "appendix-demo": (),
+}
+EXPERIMENTS = tuple(_OPTIONS)
 
 
 class ConfigError(ValueError):
@@ -109,6 +120,11 @@ def _no_unknown(d: dict, keys, path: str) -> None:
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}: unknown field (expected "
                           f"{' | '.join(keys)})")
+
+
+def check_keys(cfg: dict, experiment: str) -> None:
+    """Refuse a top-level key that the experiment does not read."""
+    _no_unknown(cfg, _SHARED_KEYS + _OPTIONS[experiment], "config")
 
 
 def _build(table: dict, d: dict, path: str, tag: str):

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .experiments import _within_band
 from .measures import JumpMeasure
 from .models import (Family, LevyModel, ModelError, cumulant,
                      cumulant_derivative, process_mean, brownian_drift,
                      compound_poisson_drift, cramer_lundberg)
-from .quadrature import integrate_tail, integrate_tail_to_zero
+from .quadrature import (brent_root, integrate_tail_to_zero,
+                         integrate_tails, tail_values)
 from .rng import stream
 from .simulate import SimConfig, passage_sample, prepare
 
@@ -74,8 +74,8 @@ def solve_lundberg(model: LevyModel) -> float:
         lo = hi
     else:
         raise ModelError("cumulant never becomes positive; no Cramer root")
-    root = float(brentq(lambda x: cumulant(model, x), lo, hi,
-                        rtol=1e-13, xtol=1e-300))
+    root = brent_root(lambda x: cumulant(model, x), lo, hi, rtol=1e-13,
+                      xtol=1e-300)
     probe = root * (1.0 + 1e-9)
     if math.isinf(cumulant(model, probe)):
         raise ModelError(
@@ -162,31 +162,33 @@ def _tilt_general(model: LevyModel, nu0: float) -> LevyModel:
     pos_sup = model.measure.pos_support
     neg_sup = model.measure.neg_support
 
-    def pos_star(x, _p=pos):
-        x = float(x)
-        if pos_sup == 0.0 or (math.isfinite(pos_sup) and x >= pos_sup):
-            return 0.0
-        # the base tail underflows before exp(nu0 x) overflows for any
-        # tilt the integrability check accepted; zero tail means zero mass
-        if float(_p(x)) == 0.0:
-            return 0.0
-        top = pos_sup if math.isfinite(pos_sup) else max(10.0 * x, 50.0 / nu0)
+    def tilted(tail, sup, rate, top):
+        """x -> e^{rate x} T(x) + rate int_x^top e^{rate y} T(y) dy, the
+        tilted tail by parts, at a float or at every point of an array;
+        the integrals at all points are computed together."""
+        def w(y):
+            t = tail_values(tail, y)
+            # the base tail underflows before exp(nu0 y) overflows for any
+            # tilt the integrability check accepted: zero tail, zero mass
+            with np.errstate(over="ignore"):
+                return np.where(t > 0.0, np.exp(rate * y) * t, 0.0)
 
-        def w(y, _pp=_p):
-            t = float(_pp(y))
-            return math.exp(nu0 * y) * t if t > 0.0 else 0.0
+        def star(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape)
+            if sup > 0.0:
+                t = tail_values(tail, x)
+                live = (t > 0.0) & (x < sup)
+                xl = x[live]
+                hi = np.full(xl.shape, sup) if math.isfinite(sup) else top(xl)
+                out[live] = np.exp(rate * xl) * t[live] + rate * \
+                    integrate_tails(w, xl, hi, breakpoints=bp)
+            return out[()]
+        return star
 
-        tail_int = integrate_tail(w, x, top, breakpoints=bp)
-        return math.exp(nu0 * x) * float(_p(x)) + nu0 * tail_int
-
-    def neg_star(x, _n=neg):
-        x = float(x)
-        if neg_sup == 0.0 or (math.isfinite(neg_sup) and x >= neg_sup):
-            return 0.0
-        top = neg_sup if math.isfinite(neg_sup) else x + 80.0 / nu0
-        tail_int = integrate_tail(lambda y: np.exp(-nu0 * y) * _n(y), x, top,
-                                  breakpoints=bp)
-        return math.exp(-nu0 * x) * _n(x) - nu0 * tail_int
+    pos_star = tilted(pos, pos_sup, nu0,
+                      lambda x: np.maximum(10.0 * x, 50.0 / nu0))
+    neg_star = tilted(neg, neg_sup, -nu0, lambda x: x + 80.0 / nu0)
 
     # small-jump drift correction integral of x (e^{nu0 x} - 1) dPi
     def corr_side(tail_fn, sign):

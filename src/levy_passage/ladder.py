@@ -27,10 +27,10 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cramer import solve_lundberg
 from .models import Family, LevyModel, ModelError, cumulant, process_mean
+from .quadrature import brent_root
 from .rng import stream, substream
 from .simulate import SimConfig, extract_ladder, prepare, simulate_passage
 
@@ -105,7 +105,7 @@ def _phi(model: LevyModel, a: float, phi0: float) -> float:
         raise ModelError(
             f"could not bracket the inverse cumulant at a={a:g}; "
             f"last probe nu={hi:g}")
-    return float(brentq(psi, lo, hi, rtol=1e-13, xtol=1e-300))
+    return brent_root(psi, lo, hi, rtol=1e-13, xtol=1e-300)
 
 
 def kappa_spectrally_negative(model: LevyModel, a: float, b: float) -> float:

@@ -16,6 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .quadrature import tail_values
+
 __all__ = [
     "JumpLaw",
     "ExponentialJump",
@@ -88,10 +90,10 @@ class ExponentialJump(JumpLaw):
             raise ValueError("sign must be +-1")
 
     def tail_pos(self, x):
-        return math.exp(-self.alpha * x) if self.sign > 0 else 0.0
+        return np.exp(-self.alpha * x) if self.sign > 0 else 0.0
 
     def tail_neg(self, x):
-        return math.exp(-self.alpha * x) if self.sign < 0 else 0.0
+        return np.exp(-self.alpha * x) if self.sign < 0 else 0.0
 
     def sample(self, rng, n):
         return self.sign * rng.exponential(scale=1.0 / self.alpha, size=n)
@@ -142,27 +144,23 @@ class UniformJump(JumpLaw):
             raise ValueError("need lo < hi")
 
     def _z(self):
-        t = self.theta
-        if t == 0.0:
-            return self.hi - self.lo
-        return (math.exp(t * self.hi) - math.exp(t * self.lo)) / t
+        return float(self._cdf_piece(self.lo, self.hi))
 
     def _cdf_piece(self, a, b):
         # integral of e^{theta x} over (a, b), unnormalized
         t = self.theta
         if t == 0.0:
             return b - a
-        return (math.exp(t * b) - math.exp(t * a)) / t
+        return (np.exp(t * b) - np.exp(t * a)) / t
 
     def tail_pos(self, x):
-        if x >= self.hi:
-            return 0.0
-        return self._cdf_piece(max(x, self.lo), self.hi) / self._z()
+        # the clip makes the piece empty at and beyond hi
+        return self._cdf_piece(np.clip(x, self.lo, self.hi), self.hi) \
+            / self._z()
 
     def tail_neg(self, x):
-        if -x <= self.lo:
-            return 0.0
-        return self._cdf_piece(self.lo, min(-x, self.hi)) / self._z()
+        return self._cdf_piece(self.lo, np.clip(-x, self.lo, self.hi)) \
+            / self._z()
 
     def sample(self, rng, n):
         u = rng.random(n)
@@ -173,51 +171,59 @@ class UniformJump(JumpLaw):
         ehi = math.exp(t * self.hi)
         return np.log(elo + u * (ehi - elo)) / t
 
-    def _moment(self, k):
-        t = self.theta
-        if t == 0.0:
-            return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: x**k * math.exp(t * x), self.lo, self.hi,
-                      epsrel=1e-12)
-        return val / self._z()
-
     def mean(self):
-        return self._moment(1)
+        return _power_exp_integral(1, self.theta, self.lo, self.hi) / self._z()
 
     def second_moment(self):
-        return self._moment(2)
+        return _power_exp_integral(2, self.theta, self.lo, self.hi) / self._z()
 
     def mean_small(self, c):
         a = max(self.lo, -c)
         b = min(self.hi, c)
         if a >= b:
             return 0.0
-        t = self.theta
-        if t == 0.0:
-            return (b * b - a * a) / (2.0 * (self.hi - self.lo))
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: x * math.exp(t * x), a, b, epsrel=1e-12)
-        return val / self._z()
+        return _power_exp_integral(1, self.theta, a, b) / self._z()
 
     def mgf(self, nu):
         shifted = UniformJump(self.lo, self.hi, self.theta + nu)
         return shifted._z() / self._z()
 
     def mgf_prime(self, nu):
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: x * math.exp((self.theta + nu) * x),
-                      self.lo, self.hi, epsrel=1e-12)
-        return val / self._z()
+        return _power_exp_integral(1, self.theta + nu, self.lo,
+                                   self.hi) / self._z()
 
     def tilt(self, nu0):
         return UniformJump(self.lo, self.hi, self.theta + nu0), self.mgf(nu0)
 
     def support(self):
         return (self.lo, self.hi)
+
+
+def _unit_power_exp(j: int, z: float) -> float:
+    """int_0^1 v^j e^{z v} dv: its series sum z^n / (n! (n + j + 1)) near
+    0, else the recurrence F_j = (e^z - j F_{j-1}) / z from expm1(z) / z."""
+    if abs(z) < 2.0:
+        return sum(z ** n / (math.factorial(n) * (n + j + 1))
+                   for n in range(30))
+    f = math.expm1(z) / z
+    for i in range(1, j + 1):
+        f = (math.exp(z) - i * f) / z
+    return f
+
+
+def _power_exp_integral(k: int, t: float, a: float, b: float) -> float:
+    """int_a^b x^k e^{t x} dx, summed from nonnegative terms on each side
+    of 0: with h = b - a >= 0 and a >= 0 it is
+    h e^{t a} sum_j C(k, j) a^{k-j} h^j F_j(t h)."""
+    if a < 0.0 < b:
+        return (_power_exp_integral(k, t, a, 0.0)
+                + _power_exp_integral(k, t, 0.0, b))
+    if b <= 0.0:
+        return (-1) ** k * _power_exp_integral(k, -t, -b, -a)
+    h = b - a
+    return h * math.exp(t * a) * sum(
+        math.comb(k, j) * a ** (k - j) * h ** j * _unit_power_exp(j, t * h)
+        for j in range(k + 1))
 
 
 @dataclass(frozen=True)
@@ -232,10 +238,10 @@ class AtomJump(JumpLaw):
             raise ValueError("atom size must be nonzero")
 
     def tail_pos(self, x):
-        return 1.0 if 0.0 < x < self.size else 0.0
+        return 1.0 * ((0.0 < x) & (x < self.size))
 
     def tail_neg(self, x):
-        return 1.0 if 0.0 < x < -self.size else 0.0
+        return 1.0 * ((0.0 < x) & (x < -self.size))
 
     def sample(self, rng, n):
         return np.full(n, self.size)
@@ -287,6 +293,9 @@ class JumpMeasure:
 
     pos_tail(x) is the mass of jumps exceeding x, neg_tail(x) the mass of
     jumps below -x, both for x > 0, both nonincreasing and right continuous.
+    A tail takes a float or an array of floats and returns its values
+    there, or one float where it is constant: the quadrature and the
+    inverse-tail tables evaluate it once on an array of nodes.
     `law` is set for finite-activity compound measures and enables exact
     sampling and closed-form transforms; infinite-activity measures sample
     through a tabulated inverse of the tails.
@@ -369,7 +378,7 @@ def tail_table_inverse(tail, lo: float, hi: float, breakpoints=(), points=4096):
             extra.extend([b * (1 - 1e-12), b])
     if extra:
         xs = np.unique(np.concatenate([xs, np.asarray(extra)]))
-    ts = np.array([tail(float(x)) for x in xs])
+    ts = tail_values(tail, xs)
     # enforce numerical monotonicity (tiny evaluation wiggle only)
     ts = np.minimum.accumulate(ts)
     # np.interp wants nondecreasing xp, so reverse (tail decreases in x).

@@ -33,7 +33,8 @@ from .measures import (
     compound_measure,
     tail_table_inverse,
 )
-from .quadrature import integrate_tail, integrate_tail_to_inf, integrate_tail_to_zero
+from .quadrature import (brent_root, integrate_tail, integrate_tail_to_inf,
+                         integrate_tail_to_zero)
 from .tail_expr import parse_tail_expr
 
 __all__ = [
@@ -262,8 +263,8 @@ def _cumulant_quadrature(model: LevyModel, nu: float) -> float:
     out += nu * (m.pos_tail(1.0) - m.neg_tail(1.0))
 
     def small(y):
-        return (math.expm1(nu * y) * m.pos_tail(y)
-                - math.expm1(-nu * y) * m.neg_tail(y))
+        return (np.expm1(nu * y) * m.pos_tail(y)
+                - np.expm1(-nu * y) * m.neg_tail(y))
 
     hi_small = min(1.0, max(m.pos_support, m.neg_support))
     if hi_small > 0.0:
@@ -273,7 +274,7 @@ def _cumulant_quadrature(model: LevyModel, nu: float) -> float:
                             (-1.0, m.neg_tail, m.neg_support)):
         if sup <= 1.0:
             continue
-        g = (lambda t: (lambda y: math.exp(sign * nu * y) * t(y)))(tail)
+        g = (lambda t, s: (lambda y: np.exp(s * nu * y) * t(y)))(tail, sign)
         if math.isfinite(sup):
             piece = integrate_tail(g, 1.0, sup, bp)
         else:
@@ -551,28 +552,25 @@ _CE1_AREA = 1.0 + _LN2 / math.log(_CE1_XC)
 _CE1_G1 = 2.0 * _CE1_AREA / (_CE1_XMAX - _CE1_XC) - _CE1_G0
 
 
-def _ce1_pos_tail(x: float) -> float:
-    if x >= _CE1_XMAX:
-        return 0.0
-    if x <= _CE1_EINV:
-        return 1.0 / (x * abs(math.log(x)))
-    return math.e
+def _ce1_pos_tail(x):
+    near = np.minimum(x, _CE1_EINV)
+    near = 1.0 / (near * np.abs(np.log(near)))
+    return np.where(x >= _CE1_XMAX, 0.0,
+                    np.where(x <= _CE1_EINV, near, math.e))[()]
 
 
-def _ce1_diff(x: float) -> float:
+def _ce1_diff(x):
     # nonincreasing difference neg_tail - pos_tail with exact small-x form
-    if x >= _CE1_XMAX:
-        return 0.0
-    if x <= _CE1_XC:
-        return _LN2 / (x * math.log(x) ** 2)
+    near = np.minimum(x, _CE1_XC)
+    near = _LN2 / (near * np.log(near) ** 2)
     w = (x - _CE1_XC) / (_CE1_XMAX - _CE1_XC)
-    return _CE1_G0 + (_CE1_G1 - _CE1_G0) * w
+    return np.where(x >= _CE1_XMAX, 0.0,
+                    np.where(x <= _CE1_XC, near,
+                             _CE1_G0 + (_CE1_G1 - _CE1_G0) * w))[()]
 
 
-def _ce1_neg_tail(x: float) -> float:
-    if x >= _CE1_XMAX:
-        return 0.0
-    return _ce1_pos_tail(x) + _ce1_diff(x)
+def _ce1_neg_tail(x):
+    return _ce1_pos_tail(x) + _ce1_diff(x)     # both vanish from _CE1_XMAX
 
 
 def make_counterexample1() -> LevyModel:
@@ -602,18 +600,11 @@ def make_counterexample1() -> LevyModel:
 # -- counterexample family 2: negative relative stability, exploding maximum
 
 
-def _ce2_slowvary(s: float, beta: float) -> float:
-    return math.exp(s**beta)
-
-
-def _ce2_zero_pos_tail(x: float, beta: float) -> float:
-    if x >= math.exp(-1.0):
-        return 0.0
-    s = -math.log(x)
-    try:
-        return 2.0 * beta * s ** (beta - 1.0) * _ce2_slowvary(s, beta) / x
-    except OverflowError:
-        return math.inf
+def _ce2_zero_pos_tail(x, beta: float):
+    s = -np.log(np.minimum(x, _CE1_EINV))
+    with np.errstate(over="ignore"):
+        v = 2.0 * beta * s ** (beta - 1.0) * np.exp(s ** beta) / x
+    return np.where(x >= _CE1_EINV, 0.0, v)[()]
 
 
 class _HeavyStep(JumpLaw):
@@ -626,17 +617,14 @@ class _HeavyStep(JumpLaw):
         self._quantile = tail_table_inverse(self._htail, math.e, self._hi,
                                             points=8192)
 
-    def _htail(self, x: float) -> float:
-        if x <= math.e:
-            return 1.0
-        s = math.log(x)
-        return s ** (self.beta - 1.0) * math.exp(s**self.beta) / x
+    def _htail(self, x):
+        s = np.log(np.maximum(x, math.e))
+        return np.where(x <= math.e, 1.0,
+                        s ** (self.beta - 1.0) * np.exp(s ** self.beta) / x)[()]
 
     def _solve_level(self, v: float) -> float:
-        from scipy.optimize import brentq
-
         f = lambda s: (self.beta - 1.0) * math.log(s) + s**self.beta - s - math.log(v)
-        return math.exp(brentq(f, 1.0, 500.0, xtol=1e-10))
+        return math.exp(brent_root(f, 1.0, 500.0, xtol=1e-10))
 
     def tail_pos(self, x):
         return self._htail(x) / 3.0
@@ -732,12 +720,13 @@ def custom_model(gamma: float, sigma2: float,
 
     def clamp(tail, sup):
         def f(x):
-            if x >= sup:
-                return 0.0
-            v = float(tail(x))
-            if not math.isfinite(v) or v < 0:
-                raise ModelError(f"tail evaluated to {v} at x={x}")
-            return v
+            v = np.where(x >= sup, 0.0, tail(x))
+            bad = np.flatnonzero(~(np.isfinite(v) & (v >= 0.0)))
+            if bad.size:
+                i = bad[0]
+                raise ModelError(f"tail evaluated to {v.flat[i]} at "
+                                 f"x={np.asarray(x).flat[i]}")
+            return v[()]
         return f
 
     def probe_zero(tail, sup):

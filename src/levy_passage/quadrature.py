@@ -1,55 +1,141 @@
-"""Quadrature helpers for integrals against jump-size tail functions.
+"""Quadrature and root finding for integrals against jump-size tails.
 
 Tail integrands here typically live on several decades of scale and behave
 like powers of y times slowly varying factors, so every routine integrates in
-the log variable s = ln(y). Panels are split at caller-supplied breakpoints
-(kinks or atoms of the tail) and at decade boundaries near the endpoints so
-the adaptive Gauss-Kronrod rule never straddles a non-smooth point.
+the log variable s = ln(y). An interval is split at caller-supplied
+breakpoints (kinks or atoms of the tail) and then into quarter-decade panels,
+each integrated by a 24-point Gauss-Legendre rule. Error control compares a
+panel with the sum over its two halves and bisects the panels that disagree;
+each round evaluates the integrand once, on the array of all its nodes.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
+import numpy as np
 
 __all__ = [
+    "tail_values",
     "integrate_tail",
+    "integrate_tails",
     "integrate_tail_to_zero",
     "integrate_tail_to_inf",
+    "brent_root",
 ]
 
 _EPSREL = 1e-11
+_EPSABS = 1e-14
 _PANEL_RTOL = 1e-10     # a panel this small relative to the sum ends it
 _HUGE = 1e200
+_WIDTH = math.log(10.0) / 4.0     # a quarter decade in s = ln y
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
+_ROUNDS = 50            # bisections before a panel is accepted as it is
+_FLOOR = 1e-3           # an error this small relative to tol always passes
+_CHUNK = 4096           # panels per integrand call, which bounds memory
 
 
-def _panels(a: float, b: float, breakpoints) -> list[tuple[float, float]]:
-    """Split (a, b) at any interior breakpoints, returned as panel pairs."""
-    pts = [a]
-    for p in sorted(set(breakpoints)):
-        if a < p < b:
-            pts.append(p)
-    pts.append(b)
-    return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+def tail_values(f, x) -> np.ndarray:
+    """f at every point of the array x, as a float array of x's shape.
+
+    A callable that takes arrays is called once; one written for floats
+    only (it raises TypeError or ValueError on an array) is called per
+    point, and a constant return value is broadcast.
+    """
+    x = np.asarray(x, dtype=float)
+    try:
+        v = f(x)
+    except (TypeError, ValueError):
+        v = [float(f(float(t))) for t in x.ravel()]
+        return np.array(v, dtype=float).reshape(x.shape)
+    return np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+
+
+def _panels(a, b, breakpoints):
+    """Quarter-decade panels (lo, hi, owner) in s covering each (a_i, b_i),
+    split at the breakpoints inside it."""
+    bp = np.array(sorted(set(breakpoints)), dtype=float)
+    edges = np.column_stack([a, np.clip(bp, a[:, None], b[:, None]), b])
+    lo = np.log(edges[:, :-1]).ravel()
+    hi = np.log(edges[:, 1:]).ravel()
+    owner = np.repeat(np.arange(len(a)), len(bp) + 1)
+    keep = lo < hi
+    lo, hi, owner = lo[keep], hi[keep], owner[keep]
+    k = np.maximum(np.ceil((hi - lo) / _WIDTH - 1e-9), 1.0).astype(int)
+    piece = np.repeat(np.arange(len(lo)), k)
+    j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+    step = ((hi - lo) / k)[piece]
+    start = lo[piece] + j * step
+    end = np.where(j + 1 == k[piece], hi[piece], start + step)
+    return start, end, owner[piece]
+
+
+def _rule(f, lo, hi) -> np.ndarray:
+    """Gauss-Legendre value of int f(e^s) e^s ds on each panel (lo, hi)."""
+    out = np.empty(len(lo))
+    for i in range(0, len(lo), _CHUNK):
+        a, b = lo[i:i + _CHUNK, None], hi[i:i + _CHUNK, None]
+        y = np.exp(0.5 * (a + b) + 0.5 * (b - a) * _NODES)
+        with np.errstate(invalid="ignore", over="ignore"):
+            v = tail_values(f, y) * y
+        out[i:i + _CHUNK] = 0.5 * (b[:, 0] - a[:, 0]) * (v * _WEIGHTS).sum(1)
+    return out
+
+
+def _integrate(f, lo, hi, owner, n: int) -> np.ndarray:
+    """Error-controlled sum over the panels of each of n owners.
+
+    A panel passes when its two halves agree with it to within its share
+    (by width) of the owner's tolerance max(epsabs, epsrel |integral|), or
+    to within a thousandth of that tolerance; the others are bisected. The
+    halves' sum is what a passing panel adds.
+    """
+    width = np.bincount(owner, weights=hi - lo, minlength=n)
+    total = np.zeros(n)
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = np.split(
+        _rule(f, np.concatenate([lo, lo, mid]),
+              np.concatenate([hi, mid, hi])), 3)
+    for _ in range(_ROUNDS):
+        fine = left + right
+        est = total + np.bincount(owner, weights=fine, minlength=n)
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(est))[owner]
+        err = np.abs(coarse - fine)
+        with np.errstate(invalid="ignore"):
+            done = ((err <= tol * (hi - lo) / width[owner])
+                    | (err <= _FLOOR * tol) | ~np.isfinite(fine))
+        if done.all() or len(lo) > 200 * n:
+            done[:] = True
+        total += np.bincount(owner[done], weights=fine[done], minlength=n)
+        if done.all():
+            return total
+        bisect = ~done
+        lo, mid, hi = lo[bisect], mid[bisect], hi[bisect]
+        owner = np.tile(owner[bisect], 2)
+        coarse = np.concatenate([left[bisect], right[bisect]])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        mid = 0.5 * (lo + hi)
+        left, right = np.split(
+            _rule(f, np.concatenate([lo, mid]), np.concatenate([mid, hi])), 2)
+    return total + np.bincount(owner, weights=left + right, minlength=n)
+
+
+def integrate_tails(f, a, b, breakpoints=()) -> np.ndarray:
+    """Integrals of f over every (a_i, b_i), 0 < a_i < b_i < inf, in log
+    coordinates and with one call of f per round for all of them."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    if not np.all((0.0 < a) & (a < b) & (b < math.inf)):
+        raise ValueError("bad integration range")
+    lo, hi, owner = _panels(a.ravel(), b.ravel(), breakpoints)
+    return _integrate(f, lo, hi, owner, a.size).reshape(a.shape)
 
 
 def integrate_tail(f, a: float, b: float, breakpoints=()) -> float:
     """Integral of f over (a, b), 0 < a < b < inf, in log coordinates."""
     if not (0.0 < a < b < math.inf):
         raise ValueError(f"bad integration range ({a}, {b})")
-    total = 0.0
-    for lo, hi in _panels(a, b, breakpoints):
-        val, _ = quad(
-            lambda s: f(math.exp(s)) * math.exp(s),
-            math.log(lo),
-            math.log(hi),
-            epsabs=1e-14,
-            epsrel=_EPSREL,
-            limit=200,
-        )
-        total += val
-    return total
+    return float(integrate_tails(f, a, b, breakpoints))
 
 
 def integrate_tail_to_zero(f, b: float, breakpoints=()) -> float:
@@ -102,3 +188,51 @@ def integrate_tail_to_inf(f, a: float, breakpoints=()):
         prev = abs(piece)
         lo = hi
     return math.inf
+
+
+def brent_root(f, a: float, b: float, xtol: float = 2e-12,
+               rtol: float = 4.0 * np.finfo(float).eps,
+               maxiter: int = 100) -> float:
+    """Root of f between a and b, where f changes sign, by Brent's method.
+
+    Secant or inverse quadratic steps are taken while they shrink the
+    bracket fast enough, bisection steps otherwise, until the bracket is
+    narrower than xtol + rtol |root| (Brent 1973, chapter 4).
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"no sign change of f between {a!r} and {b!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur) \
+                and fpre != 0.0 and fcur != 0.0:
+            xblk, fblk = xpre, fpre      # xblk: the far end of the bracket
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if interpolate:
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            interpolate = 2.0 * abs(stry) < min(abs(spre),
+                                                3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if interpolate else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise ValueError(f"root finder did not converge in {maxiter} steps")

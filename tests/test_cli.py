@@ -8,9 +8,13 @@ sibling file).
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import levy_passage
 from levy_passage import __version__
 from levy_passage.cli import main
 from levy_passage.output import PLOT_COLUMNS, RECORD_COLUMNS
@@ -301,12 +305,15 @@ def test_small_n_exits_one(tmp_path, capsys):
     ("stability", "rho_list", [1.0, "a"]),
     ("overshoot", "rho_list", [math.nan]),
     ("lt-identity", "allow_empirical", "false"),
+    ("lt-identity", "transform", {"mu": 1.0, "rhoo": 0.5}),
+    ("stability", "regim", "prob-small"),
+    ("ruin", "rho_list", [1.0]),
 ])
 def test_bad_experiment_keys_exit_one_naming_the_field(tmp_path, capsys,
                                                       command, key, value):
     path = dmp_cfg(tmp_path, regime="as-small", n=100, u_grid=[1.0],
                    levels=[0.064, 0.016, 0.004, 0.001],
-                   transform={"mu": 1.0}, **{key: value})
+                   **{"transform": {"mu": 1.0}, key: value})
     assert main([command, "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}") or \
@@ -349,6 +356,32 @@ def test_bad_model_input_exits_one_naming_the_field(tmp_path, capsys,
                                 "n": 100, **extra})
     assert main([command, "--config", path]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: classify and a small ruin run
+    # on the tail-expression Cramer-Lundberg model with scipy unimportable
+    path = cfg_file(tmp_path, {
+        "model": {"family": "custom",
+                  "gamma": -1.0 + (1.0 - 3.0 * math.exp(-2.0)) / 2.0,
+                  "pos_tail": EXP2},
+        "sim": {"horizon": 600.0, "dt": 0.01}, "seed": 5, "n": 100,
+        "u_grid": [1.0], "regime": "prob-large"})
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from levy_passage.cli import main",
+        f"assert main(['classify', '--config', {path!r}]) == 0",
+        f"assert main(['ruin', '--config', {path!r}]) == 0",
+        "assert [m for m in sys.modules if m.startswith('scipy')] == ['scipy']",
+    ])
+    src = os.path.dirname(os.path.dirname(levy_passage.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "classify prob-large: no" in proc.stdout
+    assert "ruin u=1: psi=" in proc.stdout
 
 
 def test_unwritable_out_exits_one(tmp_path, capsys):

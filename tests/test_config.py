@@ -11,7 +11,7 @@ import math
 import pytest
 
 from levy_passage.config import (_SIM_KEYS, EXPERIMENTS, ConfigError,
-                                 load_config, model_from_config,
+                                 check_keys, load_config, model_from_config,
                                  regime_from_config, sim_from_config,
                                  u_grid_from_config)
 from levy_passage.models import Family, Regime
@@ -238,6 +238,28 @@ def test_experiment_names():
     assert "appendix-demo" in EXPERIMENTS
     assert len(EXPERIMENTS) == 11
     assert len(set(EXPERIMENTS)) == 11
+
+
+def test_shared_top_level_keys_serve_every_experiment():
+    # the keys of the README examples and of the benchmark's configs
+    cfg = dict.fromkeys(("model", "sim", "seed", "n", "u_grid", "levels",
+                         "times", "transform", "regime"))
+    for name in EXPERIMENTS:
+        check_keys(cfg, name)
+
+
+@pytest.mark.parametrize("experiment,key", [
+    ("stability", "regim"),
+    ("stability", "rho_lst"),
+    ("ruin", "rho_list"),
+    ("mean-exit", "rho_list"),
+    ("classify", "band"),
+    ("as-stability", "allow_empirical"),
+])
+def test_unknown_top_level_keys_are_errors(experiment, key):
+    with pytest.raises(ConfigError,
+                       match=rf"^config\.{key}: unknown field \(expected "):
+        check_keys({"n": 100, key: 1.0}, experiment)
 
 
 def test_custom_model_tail_errors_are_config_errors():

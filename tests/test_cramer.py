@@ -129,6 +129,25 @@ def test_tilt_general_path_matches_exponential_family_algebra():
     assert process_mean(t.tilted) == pytest.approx(t.mu_star, rel=1e-8)
 
 
+def test_tilt_general_tails_take_arrays():
+    # symmetric Exp(2) jumps with a Gaussian part, tilted by e^{x/2}: the
+    # tilted tails are (4/3) e^{-3x/2} above and (4/5) e^{-5x/2} below
+    exp2 = "pow(2.718281828459045, -2*x)"
+    tilted = esscher_tilt(custom_model(1.0, 1.0, exp2, exp2),
+                          0.5).tilted.measure
+    xs = np.geomspace(1e-3, 400.0, 41)
+    for tail, rate, mass in ((tilted.pos_tail, 1.5, 4.0 / 3.0),
+                             (tilted.neg_tail, 2.5, 0.8)):
+        values = tail(xs)
+        np.testing.assert_allclose(values, [tail(float(x)) for x in xs],
+                                   rtol=1e-14, atol=0.0)
+        near = xs < 20.0
+        np.testing.assert_allclose(values[near],
+                                   mass * np.exp(-rate * xs[near]),
+                                   rtol=1e-10)
+    assert tilted.pos_tail(np.array([600.0, 1e4])).tolist() == [0.0, 0.0]
+
+
 def test_tilt_rejections():
     with pytest.raises(ValueError):
         esscher_tilt(CL, 0.0)

@@ -20,7 +20,7 @@ from levy_passage.models import (Family, ModelError, Regime, brownian_drift,
                                  make_counterexample2, process_mean,
                                  spectrally_negative, truncated_mean,
                                  truncated_quadratic_variation)
-from levy_passage.measures import ExponentialJump
+from levy_passage.measures import ExponentialJump, UniformJump
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,40 @@ def test_ce2_infinity_variant_anchors():
                                                     rel=1e-9)
     assert truncated_mean(m, 1e4) == pytest.approx(-87.58381189551821,
                                                    rel=1e-9)
+
+
+_EXP2 = "pow(2.718281828459045, -2*x)"
+_TAIL_MODELS = {
+    "ce1": make_counterexample1,
+    "ce2-zero": lambda: make_counterexample2(0.75, "zero"),
+    "ce2-inf": lambda: make_counterexample2(0.75, "infinity"),
+    "cramer-lundberg": lambda: cramer_lundberg(1.0, 2.0, 1.0),
+    "spectrally-negative": lambda: spectrally_negative(2.0, 1.0, 1.0),
+    "drift-minus-poisson": lambda: drift_minus_poisson(2.0),
+    "uniform": lambda: compound_poisson_drift(
+        1.0, UniformJump(-0.5, 2.0, 1.5), 1.0),
+    "custom": lambda: custom_model(1.0, 0.0, _EXP2, "0", pos_support=3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAIL_MODELS))
+def test_tails_take_arrays(name):
+    m = _TAIL_MODELS[name]().measure
+    xs = np.concatenate([np.geomspace(1e-6, 1e3, 97), m.breakpoints, [1.0]])
+    for tail in (m.pos_tail, m.neg_tail):
+        values = np.broadcast_to(tail(xs), xs.shape)
+        points = [float(tail(float(x))) for x in xs]
+        np.testing.assert_allclose(values, points, rtol=1e-15, atol=0.0)
+
+
+def test_custom_tail_check_names_the_first_bad_point():
+    m = custom_model(0.0, 0.0, "1 - x")
+    assert m.measure.pos_tail(np.array([0.5, 0.75])).tolist() == [0.5, 0.25]
+    with pytest.raises(ModelError, match=r"evaluated to -1\.0 at x=2\.0$"):
+        m.measure.pos_tail(np.array([0.5, 2.0, 3.0]))
+    m = custom_model(0.0, 0.0, "ln(2 - x) + 1")
+    with pytest.raises(ModelError, match=r"evaluated to nan at x=3\.0$"):
+        m.measure.pos_tail(np.array([0.5, 3.0, 4.0]))
 
 
 def test_ce2_rejects_unknown_limit_point():

@@ -1,11 +1,14 @@
-"""Quadrature tests against closed-form integrals."""
+"""Quadrature and root-finder tests against closed forms."""
 
 import math
 
+import numpy as np
 import pytest
 
-from levy_passage.quadrature import (integrate_tail, integrate_tail_to_inf,
-                                     integrate_tail_to_zero)
+from levy_passage.quadrature import (brent_root, integrate_tail,
+                                     integrate_tail_to_inf,
+                                     integrate_tail_to_zero, integrate_tails,
+                                     tail_values)
 
 
 def test_power_law_on_interval():
@@ -52,3 +55,53 @@ def test_log_spaced_panels_handle_wide_ranges():
     # int_1e-6^1e6 x^-1 dx = ln(1e12)
     val = integrate_tail(lambda x: 1.0 / x, 1e-6, 1e6)
     assert val == pytest.approx(12.0 * math.log(10.0), rel=1e-9)
+
+
+def test_array_integrand_is_called_once_per_round():
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.exp(-x)
+
+    val = integrate_tail(f, 1.0, 10.0)
+    assert val == pytest.approx(math.exp(-1.0) - math.exp(-10.0), rel=1e-12)
+    assert 1 <= len(calls) <= 12
+    assert all(len(shape) == 2 for shape in calls)
+
+
+def test_batched_intervals_match_single_calls_bitwise():
+    f = lambda x: np.where(x < 2.0, 1.0 / x, np.exp(-x))
+    a = np.array([0.1, 0.5, 1.0, 3.0])
+    b = np.array([1.0, 4.0, 2.5, 50.0])
+    batch = integrate_tails(f, a, b, breakpoints=(2.0,))
+    single = [integrate_tail(f, lo, hi, (2.0,)) for lo, hi in zip(a, b)]
+    assert batch.tolist() == single
+
+
+def test_error_control_resolves_unlisted_kinks_and_jumps():
+    # |x - e| kinks at e; the step drops at 2; neither is a breakpoint
+    kink = integrate_tail(lambda x: np.abs(x - math.e), 1.0, 10.0)
+    exact = ((math.e - 1.0) ** 2 + (10.0 - math.e) ** 2) / 2.0
+    assert kink == pytest.approx(exact, rel=1e-10)
+    step = integrate_tail(lambda x: np.where(x < 2.0, 1.0, 0.0), 1.0, 3.0)
+    assert step == pytest.approx(1.0, rel=1e-10)
+
+
+def test_scalar_only_integrands_are_evaluated_point_by_point():
+    f = lambda x: math.exp(-x) if x < 5.0 else 0.0
+    val = integrate_tail(f, 1.0, 8.0, breakpoints=(5.0,))
+    assert val == pytest.approx(math.exp(-1.0) - math.exp(-5.0), rel=1e-12)
+    assert tail_values(lambda x: 2.0, np.ones((2, 3))).tolist() == \
+        [[2.0] * 3] * 2
+
+
+def test_brent_root_finds_bracketed_roots():
+    assert brent_root(lambda x: x ** 3 - 2.0, 0.0, 2.0) == pytest.approx(
+        2.0 ** (1.0 / 3.0), rel=1e-14)
+    r = brent_root(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-300,
+                   rtol=1e-13)
+    assert abs(math.cos(r) - r) < 1e-14
+    assert brent_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    with pytest.raises(ValueError, match="no sign change"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
