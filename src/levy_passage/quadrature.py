@@ -3,10 +3,13 @@
 Tail integrands here typically live on several decades of scale and behave
 like powers of y times slowly varying factors, so every routine integrates in
 the log variable s = ln(y). An interval is split at caller-supplied
-breakpoints (kinks or atoms of the tail) and then into quarter-decade panels,
-each integrated by a 24-point Gauss-Legendre rule. Error control compares a
-panel with the sum over its two halves and bisects the panels that disagree;
-each round evaluates the integrand once, on the array of all its nodes.
+breakpoints (kinks or atoms of the tail) and at the quarter-decade grid
+points s = k ln(10)/4, and each panel is integrated by a 24-point
+Gauss-Legendre rule. Error control compares a panel with the sum over its two
+halves and bisects the panels that disagree; each round evaluates the
+integrand once, on the array of all its nodes. Many intervals integrate
+together, and overlapping ones share the panels they have in common.
+Roots are bracketed and found by Brent's method.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 _ROUNDS = 50            # bisections before a panel is accepted as it is
 _FLOOR = 1e-3           # an error this small relative to tol always passes
 _CHUNK = 4096           # panels per integrand call, which bounds memory
+_BATCH = 4              # decade or doubling panels integrated per call
+_SNAP = 1e-9            # an edge this close (in s) to an end splits nothing
 
 
 def tail_values(f, x) -> np.ndarray:
@@ -48,76 +53,106 @@ def tail_values(f, x) -> np.ndarray:
     except (TypeError, ValueError):
         v = [float(f(float(t))) for t in x.ravel()]
         return np.array(v, dtype=float).reshape(x.shape)
+    if type(v) is np.ndarray and v.shape == x.shape and v.dtype == float:
+        return v
     return np.broadcast_to(np.asarray(v, dtype=float), x.shape)
 
 
 def _panels(a, b, breakpoints):
-    """Quarter-decade panels (lo, hi, owner) in s covering each (a_i, b_i),
-    split at the breakpoints inside it."""
-    bp = np.array(sorted(set(breakpoints)), dtype=float)
-    edges = np.column_stack([a, np.clip(bp, a[:, None], b[:, None]), b])
-    lo = np.log(edges[:, :-1]).ravel()
-    hi = np.log(edges[:, 1:]).ravel()
-    owner = np.repeat(np.arange(len(a)), len(bp) + 1)
-    keep = lo < hi
-    lo, hi, owner = lo[keep], hi[keep], owner[keep]
-    k = np.maximum(np.ceil((hi - lo) / _WIDTH - 1e-9), 1.0).astype(int)
-    piece = np.repeat(np.arange(len(lo)), k)
-    j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
-    step = ((hi - lo) / k)[piece]
-    start = lo[piece] + j * step
-    end = np.where(j + 1 == k[piece], hi[piece], start + step)
-    return start, end, owner[piece]
+    """Panels in s = ln y covering each interval (a_i, b_i), split at the
+    quarter-decade grid points k * _WIDTH and at the breakpoints inside it.
+
+    Returns the distinct panels (lo, hi) and, for each piece of an
+    interval, its owner i and its panel: overlapping intervals share the
+    panels between their common grid points.
+    """
+    sa, sb = np.log(a), np.log(b)
+    edges = {k * _WIDTH for k in range(math.floor(sa.min() / _WIDTH) + 1,
+                                        math.ceil(sb.max() / _WIDTH))}
+    edges.update(math.log(p) for p in breakpoints if p > 0.0)
+    if len(sa) == 1:
+        s0, s1 = float(sa[0]), float(sb[0])
+        cut = np.array([s0, *sorted(e for e in edges
+                                    if s0 + _SNAP < e < s1 - _SNAP), s1])
+        n = len(cut) - 1
+        return cut[:-1], cut[1:], np.zeros(n, dtype=int), np.arange(n)
+    edges = np.array(sorted(edges) + [math.inf])
+    first = np.searchsorted(edges, sa + _SNAP, "right")
+    count = np.maximum(np.searchsorted(edges, sb - _SNAP) - first, 0) + 1
+    owner = np.repeat(np.arange(len(sa)), count)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    k = first[owner] + j
+    lo = np.where(j == 0, sa[owner], edges[k - 1])
+    hi = np.where(j == count[owner] - 1, sb[owner], edges[k])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    new = np.ones(len(lo), dtype=bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    panel = np.empty(len(lo), dtype=int)
+    panel[order] = np.cumsum(new) - 1
+    return lo[new], hi[new], owner, panel
 
 
 def _rule(f, lo, hi) -> np.ndarray:
     """Gauss-Legendre value of int f(e^s) e^s ds on each panel (lo, hi)."""
     out = np.empty(len(lo))
     for i in range(0, len(lo), _CHUNK):
-        a, b = lo[i:i + _CHUNK, None], hi[i:i + _CHUNK, None]
-        y = np.exp(0.5 * (a + b) + 0.5 * (b - a) * _NODES)
-        with np.errstate(invalid="ignore", over="ignore"):
-            v = tail_values(f, y) * y
-        out[i:i + _CHUNK] = 0.5 * (b[:, 0] - a[:, 0]) * (v * _WEIGHTS).sum(1)
+        half = 0.5 * (hi[i:i + _CHUNK] - lo[i:i + _CHUNK])
+        y = np.exp((lo[i:i + _CHUNK] + half)[:, None] + half[:, None] * _NODES)
+        out[i:i + _CHUNK] = half * (tail_values(f, y) * y * _WEIGHTS).sum(1)
     return out
 
 
-def _integrate(f, lo, hi, owner, n: int) -> np.ndarray:
-    """Error-controlled sum over the panels of each of n owners.
+def _integrate(f, a, b, breakpoints) -> np.ndarray:
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _refine(f, *_panels(a, b, breakpoints), len(a))
 
-    A panel passes when its two halves agree with it to within its share
-    (by width) of the owner's tolerance max(epsabs, epsrel |integral|), or
-    to within a thousandth of that tolerance; the others are bisected. The
-    halves' sum is what a passing panel adds.
+
+def _refine(f, lo, hi, owner, panel, n: int) -> np.ndarray:
+    """Error-controlled sums over the pieces of n owners; piece i is the
+    panel panel[i] of owner owner[i].
+
+    A piece passes when the two halves of its panel agree with the panel to
+    within the piece's share (by width) of its owner's tolerance max(epsabs,
+    epsrel |integral|), or to within a thousandth of that tolerance. A
+    panel is bisected while one of its pieces fails; the halves' sum is
+    what a passing piece adds.
     """
-    width = np.bincount(owner, weights=hi - lo, minlength=n)
     total = np.zeros(n)
+    width = hi[panel] - lo[panel]
+    share = width / np.bincount(owner, weights=width, minlength=n)[owner]
     mid = 0.5 * (lo + hi)
-    coarse, left, right = np.split(
-        _rule(f, np.concatenate([lo, lo, mid]),
-              np.concatenate([hi, mid, hi])), 3)
-    for _ in range(_ROUNDS):
-        fine = left + right
-        est = total + np.bincount(owner, weights=fine, minlength=n)
-        tol = np.maximum(_EPSABS, _EPSREL * np.abs(est))[owner]
-        err = np.abs(coarse - fine)
-        with np.errstate(invalid="ignore"):
-            done = ((err <= tol * (hi - lo) / width[owner])
-                    | (err <= _FLOOR * tol) | ~np.isfinite(fine))
-        if done.all() or len(lo) > 200 * n:
-            done[:] = True
-        total += np.bincount(owner[done], weights=fine[done], minlength=n)
-        if done.all():
-            return total
-        bisect = ~done
+    m = len(lo)
+    q = _rule(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    coarse, halves = q[:m], q[m:]
+    for r in range(_ROUNDS):
+        fine = halves[:m] + halves[m:]
+        est = total + np.bincount(owner, weights=fine[panel], minlength=n)
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(est))[owner] \
+            * np.maximum(share, _FLOOR)
+        limit = np.full(m, math.inf)
+        if len(panel) == m:
+            limit[panel] = tol
+        else:
+            np.minimum.at(limit, panel, tol)
+        # a nan error (inf - inf) passes: more panels will not mend it
+        bisect = np.abs(coarse - fine) > limit
+        if r + 1 == _ROUNDS or m > 200 * n or not bisect.any():
+            return total + np.bincount(owner, weights=fine[panel], minlength=n)
+        split = bisect[panel]
+        done = ~split
+        total += np.bincount(owner[done], weights=fine[panel[done]],
+                             minlength=n)
+        child = (np.cumsum(bisect) - 1)[panel[split]]
+        panel = np.concatenate([child, child + bisect.sum()])
+        owner = np.tile(owner[split], 2)
+        share = np.tile(0.5 * share[split], 2)
+        coarse = halves.reshape(2, m)[:, bisect].ravel()
         lo, mid, hi = lo[bisect], mid[bisect], hi[bisect]
-        owner = np.tile(owner[bisect], 2)
-        coarse = np.concatenate([left[bisect], right[bisect]])
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         mid = 0.5 * (lo + hi)
-        left, right = np.split(
-            _rule(f, np.concatenate([lo, mid]), np.concatenate([mid, hi])), 2)
-    return total + np.bincount(owner, weights=left + right, minlength=n)
+        m = len(lo)
+        halves = _rule(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
 
 
 def integrate_tails(f, a, b, breakpoints=()) -> np.ndarray:
@@ -127,15 +162,26 @@ def integrate_tails(f, a, b, breakpoints=()) -> np.ndarray:
                                np.asarray(b, dtype=float))
     if not np.all((0.0 < a) & (a < b) & (b < math.inf)):
         raise ValueError("bad integration range")
-    lo, hi, owner = _panels(a.ravel(), b.ravel(), breakpoints)
-    return _integrate(f, lo, hi, owner, a.size).reshape(a.shape)
+    if a.size == 0:
+        return np.zeros(a.shape)
+    return _integrate(f, a.ravel(), b.ravel(), breakpoints).reshape(a.shape)
 
 
 def integrate_tail(f, a: float, b: float, breakpoints=()) -> float:
     """Integral of f over (a, b), 0 < a < b < inf, in log coordinates."""
     if not (0.0 < a < b < math.inf):
         raise ValueError(f"bad integration range ({a}, {b})")
-    return float(integrate_tails(f, a, b, breakpoints))
+    return float(_integrate(f, [a], [b], breakpoints)[0])
+
+
+def _pieces(f, edges, breakpoints):
+    """Integrals of f between consecutive edges, _BATCH intervals a call."""
+    edges = np.array(edges)
+    for i in range(0, len(edges) - 1, _BATCH):
+        j = min(i + _BATCH, len(edges) - 1)
+        a, b = edges[i:j], edges[i + 1:j + 1]
+        yield from integrate_tails(f, np.minimum(a, b), np.maximum(a, b),
+                                   breakpoints).tolist()
 
 
 def integrate_tail_to_zero(f, b: float, breakpoints=()) -> float:
@@ -146,15 +192,14 @@ def integrate_tail_to_zero(f, b: float, breakpoints=()) -> float:
     """
     if not (0.0 < b < math.inf):
         raise ValueError(f"bad upper limit {b}")
-    total = 0.0
-    hi = b
+    edges = [b]
     for _ in range(80):
-        lo = hi / 10.0
-        piece = integrate_tail(f, lo, hi, breakpoints)
+        edges.append(edges[-1] / 10.0)
+    total = 0.0
+    for piece in _pieces(f, edges, breakpoints):
         total += piece
         if abs(piece) <= _PANEL_RTOL * max(abs(total), 1e-300):
             return total
-        hi = lo
     return total
 
 
@@ -167,13 +212,13 @@ def integrate_tail_to_inf(f, a: float, breakpoints=()):
     """
     if not (0.0 < a < math.inf):
         raise ValueError(f"bad lower limit {a}")
+    edges = [a]
+    for _ in range(200):
+        edges.append(edges[-1] * 2.0)
     total = 0.0
-    lo = a
     prev = math.inf
     growing = 0
-    for _ in range(200):
-        hi = lo * 2.0
-        piece = integrate_tail(f, lo, hi, breakpoints)
+    for piece in _pieces(f, edges, breakpoints):
         total += piece
         if abs(total) > _HUGE or not math.isfinite(total):
             return math.inf
@@ -186,7 +231,6 @@ def integrate_tail_to_inf(f, a: float, breakpoints=()):
         else:
             growing = 0
         prev = abs(piece)
-        lo = hi
     return math.inf
 
 

@@ -70,13 +70,16 @@ def test_array_integrand_is_called_once_per_round():
     assert all(len(shape) == 2 for shape in calls)
 
 
-def test_batched_intervals_match_single_calls_bitwise():
+def test_batched_intervals_match_single_calls():
+    # overlapping intervals share their grid panels, each refined to the
+    # strictest tolerance among the intervals it belongs to
     f = lambda x: np.where(x < 2.0, 1.0 / x, np.exp(-x))
-    a = np.array([0.1, 0.5, 1.0, 3.0])
-    b = np.array([1.0, 4.0, 2.5, 50.0])
+    a = np.array([0.1, 0.5, 1.0, 3.0, 3.0])
+    b = np.array([1.0, 4.0, 2.5, 50.0, 60.0])
     batch = integrate_tails(f, a, b, breakpoints=(2.0,))
     single = [integrate_tail(f, lo, hi, (2.0,)) for lo, hi in zip(a, b)]
-    assert batch.tolist() == single
+    assert batch == pytest.approx(single, rel=1e-13, abs=0.0)
+    assert integrate_tails(f, [], []).shape == (0,)
 
 
 def test_error_control_resolves_unlisted_kinks_and_jumps():
