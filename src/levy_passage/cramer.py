@@ -25,7 +25,7 @@ from .measures import JumpMeasure
 from .models import (Family, LevyModel, ModelError, cumulant,
                      cumulant_derivative, process_mean, brownian_drift,
                      compound_poisson_drift, cramer_lundberg)
-from .quadrature import (brent_root, integrate_tail_to_zero,
+from .quadrature import (brent_root, float_or_array, integrate_tail_to_zero,
                          integrate_tails, tail_values)
 from .rng import stream
 from .simulate import SimConfig, passage_sample, prepare
@@ -170,20 +170,18 @@ def _tilt_general(model: LevyModel, nu0: float) -> LevyModel:
             t = tail_values(tail, y)
             # the base tail underflows before exp(nu0 y) overflows for any
             # tilt the integrability check accepted: zero tail, zero mass
-            with np.errstate(over="ignore"):
-                return np.where(t > 0.0, np.exp(rate * y) * t, 0.0)
+            return np.where(t > 0.0, np.exp(rate * y) * t, 0.0)
 
         def star(x):
             x = np.asarray(x, dtype=float)
+            t = tail_values(tail, x)
+            live = (t > 0.0) & (x < sup)
+            xl = x[live]
+            hi = np.full(xl.shape, sup) if math.isfinite(sup) else top(xl)
             out = np.zeros(x.shape)
-            if sup > 0.0:
-                t = tail_values(tail, x)
-                live = (t > 0.0) & (x < sup)
-                xl = x[live]
-                hi = np.full(xl.shape, sup) if math.isfinite(sup) else top(xl)
-                out[live] = np.exp(rate * xl) * t[live] + rate * \
-                    integrate_tails(w, xl, hi, breakpoints=bp)
-            return out[()]
+            out[live] = np.exp(rate * xl) * t[live] + rate * integrate_tails(
+                w, xl, hi, breakpoints=bp)
+            return float_or_array(out)
         return star
 
     pos_star = tilted(pos, pos_sup, nu0,

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import tail_values
+from .quadrature import float_or_array, tail_values
 
 __all__ = [
     "JumpLaw",
@@ -90,10 +90,12 @@ class ExponentialJump(JumpLaw):
             raise ValueError("sign must be +-1")
 
     def tail_pos(self, x):
-        return np.exp(-self.alpha * x) if self.sign > 0 else 0.0
+        return float_or_array(np.exp(-self.alpha * x)) if self.sign > 0 \
+            else 0.0
 
     def tail_neg(self, x):
-        return np.exp(-self.alpha * x) if self.sign < 0 else 0.0
+        return float_or_array(np.exp(-self.alpha * x)) if self.sign < 0 \
+            else 0.0
 
     def sample(self, rng, n):
         return self.sign * rng.exponential(scale=1.0 / self.alpha, size=n)
@@ -155,12 +157,12 @@ class UniformJump(JumpLaw):
 
     def tail_pos(self, x):
         # the clip makes the piece empty at and beyond hi
-        return self._cdf_piece(np.clip(x, self.lo, self.hi), self.hi) \
-            / self._z()
+        return float_or_array(self._cdf_piece(
+            np.clip(x, self.lo, self.hi), self.hi) / self._z())
 
     def tail_neg(self, x):
-        return self._cdf_piece(self.lo, np.clip(-x, self.lo, self.hi)) \
-            / self._z()
+        return float_or_array(self._cdf_piece(
+            self.lo, np.clip(-x, self.lo, self.hi)) / self._z())
 
     def sample(self, rng, n):
         u = rng.random(n)

@@ -33,8 +33,8 @@ from .measures import (
     compound_measure,
     tail_table_inverse,
 )
-from .quadrature import (brent_root, integrate_tail, integrate_tail_to_inf,
-                         integrate_tail_to_zero)
+from .quadrature import (brent_root, float_or_array, integrate_tail,
+                         integrate_tail_to_inf, integrate_tail_to_zero)
 from .tail_expr import parse_tail_expr
 
 __all__ = [
@@ -555,8 +555,8 @@ _CE1_G1 = 2.0 * _CE1_AREA / (_CE1_XMAX - _CE1_XC) - _CE1_G0
 def _ce1_pos_tail(x):
     near = np.minimum(x, _CE1_EINV)
     near = 1.0 / (near * np.abs(np.log(near)))
-    return np.where(x >= _CE1_XMAX, 0.0,
-                    np.where(x <= _CE1_EINV, near, math.e))[()]
+    return float_or_array(np.where(x >= _CE1_XMAX, 0.0,
+                                   np.where(x <= _CE1_EINV, near, math.e)))
 
 
 def _ce1_diff(x):
@@ -564,9 +564,9 @@ def _ce1_diff(x):
     near = np.minimum(x, _CE1_XC)
     near = _LN2 / (near * np.log(near) ** 2)
     w = (x - _CE1_XC) / (_CE1_XMAX - _CE1_XC)
-    return np.where(x >= _CE1_XMAX, 0.0,
-                    np.where(x <= _CE1_XC, near,
-                             _CE1_G0 + (_CE1_G1 - _CE1_G0) * w))[()]
+    return float_or_array(np.where(
+        x >= _CE1_XMAX, 0.0,
+        np.where(x <= _CE1_XC, near, _CE1_G0 + (_CE1_G1 - _CE1_G0) * w)))
 
 
 def _ce1_neg_tail(x):
@@ -604,7 +604,7 @@ def _ce2_zero_pos_tail(x, beta: float):
     s = -np.log(np.minimum(x, _CE1_EINV))
     with np.errstate(over="ignore"):
         v = 2.0 * beta * s ** (beta - 1.0) * np.exp(s ** beta) / x
-    return np.where(x >= _CE1_EINV, 0.0, v)[()]
+    return float_or_array(np.where(x >= _CE1_EINV, 0.0, v))
 
 
 class _HeavyStep(JumpLaw):
@@ -619,8 +619,9 @@ class _HeavyStep(JumpLaw):
 
     def _htail(self, x):
         s = np.log(np.maximum(x, math.e))
-        return np.where(x <= math.e, 1.0,
-                        s ** (self.beta - 1.0) * np.exp(s ** self.beta) / x)[()]
+        return float_or_array(np.where(
+            x <= math.e, 1.0,
+            s ** (self.beta - 1.0) * np.exp(s ** self.beta) / x))
 
     def _solve_level(self, v: float) -> float:
         f = lambda s: (self.beta - 1.0) * math.log(s) + s**self.beta - s - math.log(v)
@@ -726,7 +727,7 @@ def custom_model(gamma: float, sigma2: float,
                 i = bad[0]
                 raise ModelError(f"tail evaluated to {v.flat[i]} at "
                                  f"x={np.asarray(x).flat[i]}")
-            return v[()]
+            return float_or_array(v)
         return f
 
     def probe_zero(tail, sup):

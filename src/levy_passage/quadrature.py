@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "float_or_array",
     "tail_values",
     "integrate_tail",
     "integrate_tails",
@@ -38,6 +39,13 @@ _FLOOR = 1e-3           # an error this small relative to tol always passes
 _CHUNK = 4096           # panels per integrand call, which bounds memory
 _BATCH = 4              # decade or doubling panels integrated per call
 _SNAP = 1e-9            # an edge this close (in s) to an end splits nothing
+
+
+def float_or_array(v):
+    """v as a Python float when it holds one value, else the array: a tail
+    evaluated at a float gives a float, whose arithmetic stays fast in the
+    scalar loops downstream."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def tail_values(f, x) -> np.ndarray:
@@ -131,10 +139,7 @@ def _refine(f, lo, hi, owner, panel, n: int) -> np.ndarray:
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(est))[owner] \
             * np.maximum(share, _FLOOR)
         limit = np.full(m, math.inf)
-        if len(panel) == m:
-            limit[panel] = tol
-        else:
-            np.minimum.at(limit, panel, tol)
+        np.minimum.at(limit, panel, tol)
         # a nan error (inf - inf) passes: more panels will not mend it
         bisect = np.abs(coarse - fine) > limit
         if r + 1 == _ROUNDS or m > 200 * n or not bisect.any():
