@@ -274,7 +274,7 @@ def _cumulant_quadrature(model: LevyModel, nu: float) -> float:
                             (-1.0, m.neg_tail, m.neg_support)):
         if sup <= 1.0:
             continue
-        g = (lambda t, s: (lambda y: np.exp(s * nu * y) * t(y)))(tail, sign)
+        g = (lambda t: (lambda y: np.exp(sign * nu * y) * t(y)))(tail)
         if math.isfinite(sup):
             piece = integrate_tail(g, 1.0, sup, bp)
         else:

@@ -139,8 +139,10 @@ def test_tilt_general_tails_take_arrays():
     for tail, rate, mass in ((tilted.pos_tail, 1.5, 4.0 / 3.0),
                              (tilted.neg_tail, 2.5, 0.8)):
         values = tail(xs)
+        # one pass over all points shares panels between their integrals,
+        # so it agrees with the one-point calls to the rule's tolerance
         np.testing.assert_allclose(values, [tail(float(x)) for x in xs],
-                                   rtol=1e-14, atol=0.0)
+                                   rtol=1e-11, atol=0.0)
         near = xs < 20.0
         np.testing.assert_allclose(values[near],
                                    mass * np.exp(-rate * xs[near]),
