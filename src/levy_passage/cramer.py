@@ -165,7 +165,7 @@ def _tilt_general(model: LevyModel, nu0: float) -> LevyModel:
     def tilted(tail, sup, rate, top):
         """x -> e^{rate x} T(x) + rate int_x^top e^{rate y} T(y) dy, the
         tilted tail by parts, at a float or at every point of an array;
-        the integrals at all points are computed together."""
+        the integrals at all points come from one cumulative pass."""
         def w(y):
             t = tail_values(tail, y)
             # the base tail underflows before exp(nu0 y) overflows for any
@@ -178,9 +178,16 @@ def _tilt_general(model: LevyModel, nu0: float) -> LevyModel:
             live = (t > 0.0) & (x < sup)
             xl = x[live]
             hi = np.full(xl.shape, sup) if math.isfinite(sup) else top(xl)
+            # w is integrated once between consecutive points of and tops;
+            # c holds the integrals from each edge to the last one
+            edges = np.unique(np.concatenate([xl, hi]))
+            c = np.zeros(edges.shape)
+            c[:-1] = np.cumsum(integrate_tails(
+                w, edges[:-1], edges[1:], breakpoints=bp)[::-1])[::-1]
+            inner = c[np.searchsorted(edges, xl)] \
+                - c[np.searchsorted(edges, hi)]
             out = np.zeros(x.shape)
-            out[live] = np.exp(rate * xl) * t[live] + rate * integrate_tails(
-                w, xl, hi, breakpoints=bp)
+            out[live] = np.exp(rate * xl) * t[live] + rate * inner
             return float_or_array(out)
         return star
 

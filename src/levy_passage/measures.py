@@ -149,11 +149,12 @@ class UniformJump(JumpLaw):
         return float(self._cdf_piece(self.lo, self.hi))
 
     def _cdf_piece(self, a, b):
-        # integral of e^{theta x} over (a, b), unnormalized
+        # integral of e^{theta x} over (a, b), unnormalized; expm1 keeps
+        # the digits that e^{theta b} - e^{theta a} loses at small theta
         t = self.theta
         if t == 0.0:
             return b - a
-        return (np.exp(t * b) - np.exp(t * a)) / t
+        return np.exp(t * a) * np.expm1(t * (b - a)) / t
 
     def tail_pos(self, x):
         # the clip makes the piece empty at and beyond hi

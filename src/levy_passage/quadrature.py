@@ -8,7 +8,7 @@ points s = k ln(10)/4, and each panel is integrated by a 24-point
 Gauss-Legendre rule. Error control compares a panel with the sum over its two
 halves and bisects the panels that disagree; each round evaluates the
 integrand once, on the array of all its nodes. Many intervals integrate
-together, and overlapping ones share the panels they have in common.
+together, each under its own tolerance.
 Roots are bracketed and found by Brent's method.
 """
 
@@ -70,20 +70,12 @@ def _panels(a, b, breakpoints):
     """Panels in s = ln y covering each interval (a_i, b_i), split at the
     quarter-decade grid points k * _WIDTH and at the breakpoints inside it.
 
-    Returns the distinct panels (lo, hi) and, for each piece of an
-    interval, its owner i and its panel: overlapping intervals share the
-    panels between their common grid points.
+    Returns the panels' ends (lo, hi) and the interval each belongs to.
     """
     sa, sb = np.log(a), np.log(b)
     edges = {k * _WIDTH for k in range(math.floor(sa.min() / _WIDTH) + 1,
                                         math.ceil(sb.max() / _WIDTH))}
     edges.update(math.log(p) for p in breakpoints if p > 0.0)
-    if len(sa) == 1:
-        s0, s1 = float(sa[0]), float(sb[0])
-        cut = np.array([s0, *sorted(e for e in edges
-                                    if s0 + _SNAP < e < s1 - _SNAP), s1])
-        n = len(cut) - 1
-        return cut[:-1], cut[1:], np.zeros(n, dtype=int), np.arange(n)
     edges = np.array(sorted(edges) + [math.inf])
     first = np.searchsorted(edges, sa + _SNAP, "right")
     count = np.maximum(np.searchsorted(edges, sb - _SNAP) - first, 0) + 1
@@ -92,13 +84,7 @@ def _panels(a, b, breakpoints):
     k = first[owner] + j
     lo = np.where(j == 0, sa[owner], edges[k - 1])
     hi = np.where(j == count[owner] - 1, sb[owner], edges[k])
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    new = np.ones(len(lo), dtype=bool)
-    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    panel = np.empty(len(lo), dtype=int)
-    panel[order] = np.cumsum(new) - 1
-    return lo[new], hi[new], owner, panel
+    return lo, hi, owner
 
 
 def _rule(f, lo, hi) -> np.ndarray:
@@ -116,42 +102,35 @@ def _integrate(f, a, b, breakpoints) -> np.ndarray:
         return _refine(f, *_panels(a, b, breakpoints), len(a))
 
 
-def _refine(f, lo, hi, owner, panel, n: int) -> np.ndarray:
-    """Error-controlled sums over the pieces of n owners; piece i is the
-    panel panel[i] of owner owner[i].
+def _refine(f, lo, hi, owner, n: int) -> np.ndarray:
+    """Error-controlled sums over the panels (lo, hi) of n intervals; panel
+    i belongs to interval owner[i].
 
-    A piece passes when the two halves of its panel agree with the panel to
-    within the piece's share (by width) of its owner's tolerance max(epsabs,
-    epsrel |integral|), or to within a thousandth of that tolerance. A
-    panel is bisected while one of its pieces fails; the halves' sum is
-    what a passing piece adds.
+    A panel passes when its two halves agree with it to within its share
+    (by width) of its interval's tolerance max(epsabs, epsrel |integral|),
+    or to within a thousandth of that tolerance. A failing panel is
+    bisected; the halves' sum is what a passing panel adds.
     """
     total = np.zeros(n)
-    width = hi[panel] - lo[panel]
-    share = width / np.bincount(owner, weights=width, minlength=n)[owner]
+    share = (hi - lo) / np.bincount(owner, weights=hi - lo,
+                                    minlength=n)[owner]
     mid = 0.5 * (lo + hi)
     m = len(lo)
     q = _rule(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
     coarse, halves = q[:m], q[m:]
     for r in range(_ROUNDS):
         fine = halves[:m] + halves[m:]
-        est = total + np.bincount(owner, weights=fine[panel], minlength=n)
+        est = total + np.bincount(owner, weights=fine, minlength=n)
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(est))[owner] \
             * np.maximum(share, _FLOOR)
-        limit = np.full(m, math.inf)
-        np.minimum.at(limit, panel, tol)
         # a nan error (inf - inf) passes: more panels will not mend it
-        bisect = np.abs(coarse - fine) > limit
+        bisect = np.abs(coarse - fine) > tol
         if r + 1 == _ROUNDS or m > 200 * n or not bisect.any():
-            return total + np.bincount(owner, weights=fine[panel], minlength=n)
-        split = bisect[panel]
-        done = ~split
-        total += np.bincount(owner[done], weights=fine[panel[done]],
-                             minlength=n)
-        child = (np.cumsum(bisect) - 1)[panel[split]]
-        panel = np.concatenate([child, child + bisect.sum()])
-        owner = np.tile(owner[split], 2)
-        share = np.tile(0.5 * share[split], 2)
+            return est
+        done = ~bisect
+        total += np.bincount(owner[done], weights=fine[done], minlength=n)
+        owner = np.tile(owner[bisect], 2)
+        share = np.tile(0.5 * share[bisect], 2)
         coarse = halves.reshape(2, m)[:, bisect].ravel()
         lo, mid, hi = lo[bisect], mid[bisect], hi[bisect]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])

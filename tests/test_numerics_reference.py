@@ -208,8 +208,8 @@ _THETAS = (-2.0, 1e-9, 3.0)
 def _ref_uniform(law, k, lo, hi, shift=0.0):
     t = law.theta + shift
     val = quad(lambda x: x ** k * math.exp(t * x), lo, hi, **_QUAD)[0]
-    # the normalizer is the law's own, so only the integral is compared
-    return val / law._z()
+    z = quad(lambda x: math.exp(law.theta * x), law.lo, law.hi, **_QUAD)[0]
+    return val / z
 
 
 @pytest.mark.parametrize("theta", _THETAS)
@@ -219,3 +219,6 @@ def test_uniform_law_moments_match_quad(theta):
     _close(law.second_moment(), _ref_uniform(law, 2, -0.5, 2.0))
     _close(law.mean_small(1.0), _ref_uniform(law, 1, -0.5, 1.0))
     _close(law.mgf_prime(0.7), _ref_uniform(law, 1, -0.5, 2.0, shift=0.7))
+    _close(law.mgf(0.7), _ref_uniform(law, 0, -0.5, 2.0, shift=0.7))
+    _close(law.tail_pos(1.0), _ref_uniform(law, 0, 1.0, 2.0))
+    _close(law.tail_neg(0.25), _ref_uniform(law, 0, -0.5, -0.25))

@@ -71,8 +71,8 @@ def test_array_integrand_is_called_once_per_round():
 
 
 def test_batched_intervals_match_single_calls():
-    # overlapping intervals share their grid panels, each refined to the
-    # strictest tolerance among the intervals it belongs to
+    # each interval of a batch, overlapping or not, is refined under its
+    # own tolerance, as in a call of its own
     f = lambda x: np.where(x < 2.0, 1.0 / x, np.exp(-x))
     a = np.array([0.1, 0.5, 1.0, 3.0, 3.0])
     b = np.array([1.0, 4.0, 2.5, 50.0, 60.0])
