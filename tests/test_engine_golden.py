@@ -65,13 +65,12 @@ def _ladder(model, cfg, n=6, seed=14):
     for r in range(n):
         s = extract_ladder(model, cfg, rng=stream(seed, 0, r))
         out.append(np.asarray(s.epochs, dtype=float).reshape(-1, 2))
-        out.append(np.array([s.killed]))
     return out
 
 
 def _lt(model, cfg, n):
     # only the simulated side is pinned; any exponent serves for the rhs
-    kappa = LadderExponent(Backend.EMPIRICAL, 0.0, 0.0, 0.0,
+    kappa = LadderExponent(Backend.DRIFT_MINUS_POISSON, 0.0, 0.0, 0.0,
                            lambda a, b: 1.0 + a + b)
     rep = verify_lt_identity(model, kappa, mu=1.0, nu=0.5,
                              theta=0.5, n=n, seed=15, cfg=cfg)
@@ -120,16 +119,12 @@ CASES = {
     "skeleton-jumps-fixed": lambda: _fixed(JD, 2.0, LONG, n=100),
     "skeleton-jumps-coupled": lambda: _coupled(JD, LONG, n=20),
     "skeleton-jumps-coupled-short": lambda: _coupled(JD, SHORT, n=20),
-    "skeleton-jumps-ladder": lambda: _ladder(JD, SimConfig(horizon=10.0,
-                                                           dt=0.05)),
     # pure diffusion: blockwise passage, scalar skeleton elsewhere
     "diffusion-passage": lambda: _passage(BD, 2.0, LONG),
     "diffusion-passage-default": lambda: _passage(BD, 5.0, None, n=50),
     "diffusion-passage-short": lambda: _passage(BD, 4.0, SHORT),
     "diffusion-fixed": lambda: _fixed(BD, 2.0, LONG, n=100),
     "diffusion-coupled": lambda: _coupled(BD, LONG, n=20),
-    "diffusion-ladder": lambda: _ladder(BD, SimConfig(horizon=10.0,
-                                                      dt=0.05)),
     # library calls built on the consumers
     "lt-identity-dmp": lambda: _lt(DMP, SimConfig(horizon=1e4), 300),
     "lt-identity-skeleton": lambda: _lt(JD, LONG, 40),
@@ -150,8 +145,6 @@ GOLDEN = {
         "9896b29d38454eec89a52e1bccb38f033c6be2b27aad7057fe620ca7b698a042",
     "diffusion-fixed":
         "e4196cd4b0c44412d930dc528c6371e399d8205825466cf7bb4072f477da96ce",
-    "diffusion-ladder":
-        "b388e21c73102ea3c446d73071f2c5091b304d363168424d95b9f6be650e56d0",
     "diffusion-passage":
         "ec8d8a14cf7c5346be09466b0f823a2e03c3bd0f7a32d3a07aa8f2865d581990",
     "diffusion-passage-default":
@@ -163,7 +156,7 @@ GOLDEN = {
     "exact-cl-fixed":
         "a5a8b61f2f91440f7f8b5fe49b304527a987551fa254677644d0c09f90337c8d",
     "exact-cl-ladder":
-        "3b442c6e67fa59691ae39d6bf51afe75cbdcfddef880a1b817bc76e18de201e4",
+        "970044a1f007d46d4ebcf45ee53042fc8644b32b767a8f4ec1db307af626ee8f",
     "exact-cl-passage":
         "d1847bb9e968f61726f441c80ae0586679b54f8b387d4024908cbd3ae99b7412",
     "exact-cl-passage-short":
@@ -175,7 +168,7 @@ GOLDEN = {
     "exact-dmp-fixed":
         "8ab911918dfca6272ebfa1ee3ff41870c689c769688b440b8d32017544e76fd3",
     "exact-dmp-ladder":
-        "3e87de4bb350846b0f24731e830e6dc0e38a44dbb7042845e597bcc9bf024b59",
+        "7e11f9f72dc7a5544614bedff2f26f1f75ca92f4ef1f10fd7ab0544c518956c8",
     "exact-dmp-passage":
         "1791035e9532a3c1cd563c65b82c874b53815eec08512027f3019f08cb52632f",
     "exact-dmp-passage-short":
@@ -185,7 +178,7 @@ GOLDEN = {
     "exact-line-fixed":
         "88397243a9987f47ecef7a32fac1e6b26caf97472e5813f85084f62960dad05f",
     "exact-line-ladder":
-        "02c681f3cb43d62992a785d85755989fcb2a442ce7248bae3b0204f919fdec34",
+        "85ecd2cb08d0087294ce02e4083b4270eb0b97cf4e9186a4135b8f02044cb8e0",
     "exact-line-passage":
         "a22c6c188995493add4c3d9b989a0aa0b39b38bfd413d4092fa12e8e0046faec",
     "exact-line-passage-short":
@@ -197,7 +190,7 @@ GOLDEN = {
     "exact-sn-fixed":
         "d862ec5b0980183ce69ed00ec006deca5477579260387464a29b51054fce45f0",
     "exact-sn-ladder":
-        "91c8de8494140fc6a0b2cd05e33a0e260c99582bcb2e36bef4b47ebcd03021df",
+        "fe3add61e535611424409422a2e47a5e9e447daed35b09541d1b4f760ec72fbe",
     "exact-sn-passage":
         "7558b6c4fd7253b1cb93423e56bb9e0daa9a41d3b40fe6f696c5460fbb3bbdca",
     "lt-identity-dmp":
@@ -214,8 +207,6 @@ GOLDEN = {
         "848ea5bb7799b433496fe73e9086c332cca8c21d2141c76c6a6708e140385156",
     "skeleton-jumps-fixed":
         "171713a2ea54b02aae8b03fabac3da476c501ff70c7b74351cd51c9a6b041571",
-    "skeleton-jumps-ladder":
-        "3181cf19722529da241e76ed12e59696cb508302ace9c75cef45e2433d488b70",
     "skeleton-jumps-passage":
         "db3776204ed45fbd062cffc2d9b8667eac498a3f032ef2eb0ede8ea7b79eb8e0",
     "skeleton-jumps-passage-short":
