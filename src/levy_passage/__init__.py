@@ -49,7 +49,6 @@ from .ladder import (
     LadderExponent,
     RenewalFunction,
     dmp_exponent,
-    empirical_exponent,
     exponent_for,
     kappa_drift_minus_poisson,
     kappa_spectrally_negative,
@@ -89,7 +88,6 @@ from .models import (
 from .output import result_payload, write_manifest
 from .rng import stream
 from .simulate import (
-    LadderSample,
     PassageBatch,
     PassageRecord,
     PreparedModel,
@@ -107,90 +105,3 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ASReport",
-    "AtomJump",
-    "Backend",
-    "ConditionalReport",
-    "ConfigError",
-    "DemoRow",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "ExponentialJump",
-    "Family",
-    "JumpMeasure",
-    "LadderExponent",
-    "LadderSample",
-    "LevyModel",
-    "ModelError",
-    "OvershootHist",
-    "PassageBatch",
-    "PassageRecord",
-    "PreparedModel",
-    "Regime",
-    "RenewalFunction",
-    "RuinEstimate",
-    "RunningStat",
-    "SimConfig",
-    "StabilityReport",
-    "StabilityVerdict",
-    "TiltedModel",
-    "UniformJump",
-    "appendix_demo",
-    "as_stability_experiment",
-    "brownian_drift",
-    "choose_engine",
-    "classify_stability",
-    "compound_measure",
-    "compound_poisson_drift",
-    "conditional_stability_experiment",
-    "cramer_lundberg",
-    "cumulant",
-    "cumulant_derivative",
-    "custom_model",
-    "cutoff_for_rate",
-    "direct_ruin",
-    "dmp_exponent",
-    "drift_minus_poisson",
-    "empirical_exponent",
-    "esscher_tilt",
-    "exponent_for",
-    "extract_ladder",
-    "fixed_time_sample",
-    "g_stability_experiment",
-    "kappa_drift_minus_poisson",
-    "kappa_spectrally_negative",
-    "load_config",
-    "lt_lattice",
-    "make_counterexample1",
-    "make_counterexample2",
-    "mean_exit_experiment",
-    "model_from_config",
-    "overshoot_law_experiment",
-    "passage_sample",
-    "prepare",
-    "process_mean",
-    "ratio_path",
-    "ratio_paths",
-    "regime_from_config",
-    "renewal_estimate",
-    "result_payload",
-    "ruin_grid",
-    "ruin_is",
-    "sample_at_time",
-    "sim_from_config",
-    "simulate_passage",
-    "sn_exponent",
-    "solve_lundberg",
-    "spectrally_negative",
-    "stream",
-    "tau_stability_experiment",
-    "tilt_identity_check",
-    "truncated_mean",
-    "truncated_quadratic_variation",
-    "u_grid_from_config",
-    "verify_lt_identity",
-    "write_manifest",
-    "__version__",
-]

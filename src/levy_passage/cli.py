@@ -192,8 +192,7 @@ def _dispatch(command: str, cfg: dict, args) -> int:
     if command == "lt-identity":
         tr = _get(cfg, "transform", dict, "config", default={})
         _no_unknown(tr, ("mu", "rho", "lam", "nu", "theta"), "transform")
-        kappa = exponent_for(model, allow_empirical=_get(
-            cfg, "allow_empirical", bool, "config", default=False), cfg=sim)
+        kappa = exponent_for(model)
         report = verify_lt_identity(
             model, kappa, mu=_get(tr, "mu", _finite, "transform"),
             **{k: _get(tr, k, _finite, "transform", default=0.0)

@@ -39,7 +39,7 @@ _OPTIONS = {
     "classify": (), "simulate": (), "stability": ("rho_list",),
     "as-stability": ("band", "tail_window", "min_fraction"),
     "mean-exit": (), "last-max": ("rho_list",), "overshoot": ("rho_list",),
-    "lt-identity": ("allow_empirical",), "ruin": (), "conditional": (),
+    "lt-identity": (), "ruin": (), "conditional": (),
     "appendix-demo": (),
 }
 EXPERIMENTS = tuple(_OPTIONS)
@@ -82,16 +82,15 @@ _NUMBER = ((int, float), "a number")
 # accepted JSON types and their name in messages, per kind; a kind is also
 # the function that turns the checked value into the field's value
 _KINDS = {float: _NUMBER, _finite: ((int, float), "a finite number"),
-          _support: _NUMBER, int: (int, "an integer"),
-          bool: (bool, "true or false"), str: (str, "a string"),
+          _support: _NUMBER, int: (int, "an integer"), str: (str, "a string"),
           parse_tail_expr: (str, "a string"), dict: (dict, "an object"),
           list: (list, "an array")}
 
 
 def _check(val, kind, field: str):
     types, name = _KINDS[kind]
-    # a JSON true/false is a Python int, so only the bool kind accepts one
-    if isinstance(val, bool) != (kind is bool) or not isinstance(val, types):
+    # a JSON true/false is a Python int, and no field takes one
+    if isinstance(val, bool) or not isinstance(val, types):
         raise ConfigError(f"{field}: expected {name}, got "
                           f"{type(val).__name__}")
     try:

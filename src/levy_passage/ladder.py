@@ -6,33 +6,35 @@ local-time normalization, so cross-backend comparisons are restricted to
 normalization-invariant functionals: ratios of kappa values, the killing
 rate, and products like EL1_inv * V_H(u).
 
-Normalizations used here:
+Normalizations used here, both exact:
 
 * spectrally negative closed form: kappa(a, b) = Phi(a) + b, with Phi the
   right inverse of the cumulant. This fixes kappa(a, 0) = Phi(a).
 * drift-minus-unit-Poisson closed form: local time is occupation time at
   the maximum, giving kappa(a, b) = a + d*b + (1 - E exp(-a tau_1)) for
-  slope d, where tau_1 is the passage time over 1. The transform of tau_1
-  is estimated once by Monte Carlo and cached behind a lock.
-* empirical backend: record-indexed ladder epochs from simulated paths.
+  slope d, where tau_1 is the passage time over 1. With no upward jumps
+  E exp(-a tau_1) = exp(-Phi(a)), so kappa(a, b) = d*(Phi(a) + b).
+
+exponent_for refuses every other model with upward jumps. The renewal
+function V_H is estimated from event-exact ladder records only.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .cramer import solve_lundberg
-from .models import Family, LevyModel, ModelError, cumulant, process_mean
+from .models import (Family, LevyModel, ModelError, cumulant,
+                     drift_minus_poisson, process_mean)
 from .quadrature import brent_root
-from .rng import stream, substream
-from .simulate import SimConfig, extract_ladder, prepare, simulate_passage
+from .rng import stream
+from .simulate import (SimConfig, choose_engine, extract_ladder, prepare,
+                       simulate_passage)
 
 __all__ = [
     "Backend",
@@ -42,19 +44,16 @@ __all__ = [
     "sn_exponent",
     "kappa_drift_minus_poisson",
     "dmp_exponent",
-    "empirical_exponent",
     "exponent_for",
     "verify_lt_identity",
     "lt_lattice",
     "renewal_estimate",
-    "tau1_transform_cache",
 ]
 
 
 class Backend(Enum):
     SPECTRALLY_NEGATIVE = "SpectrallyNegativeClosedForm"
     DRIFT_MINUS_POISSON = "DriftMinusPoissonClosedForm"
-    EMPIRICAL = "EmpiricalMC"
 
 
 @dataclass
@@ -133,137 +132,31 @@ def sn_exponent(model: LevyModel) -> LadderExponent:
 
 
 # ---------------------------------------------------------------------------
-# drift-minus-unit-Poisson closed form
-
-
-class _Tau1Cache:
-    """Monte Carlo samples of the passage time over 1 for slope a > 1.
-
-    The construction is round-based: the climb to level 1 takes 1/a; every
-    unit jump landing during an accounted stretch adds 1/a more climb, and
-    the rounds stop when a stretch sees no jumps. Initialization happens at
-    most once behind a lock; afterwards reads are lock-free.
-    """
-
-    def __init__(self, a_param: float):
-        if not a_param > 1.0:
-            raise ModelError("the unit-Poisson family needs slope > 1")
-        self.a_param = a_param
-        self._samples: Optional[np.ndarray] = None
-        self._lock = threading.Lock()
-        self._memo: dict = {}
-
-    @property
-    def samples(self) -> np.ndarray:
-        if self._samples is None:
-            with self._lock:
-                if self._samples is None:
-                    self._samples = self._draw()
-        return self._samples
-
-    def _draw(self) -> np.ndarray:
-        rng = substream(_TAU1_SEED, 427001)
-        a = self.a_param
-        ext = np.full(_TAU1_N, 1.0 / a)
-        tau = ext.copy()
-        idx = np.arange(_TAU1_N)
-        while idx.size:
-            k = rng.poisson(ext[idx])
-            add = k / a
-            tau[idx] += add
-            ext[idx] = add
-            idx = idx[k > 0]
-        return tau
-
-    def laplace(self, a: float) -> float:
-        """E exp(-a tau_1)."""
-        key = float(a)
-        got = self._memo.get(key)
-        if got is None:
-            got = float(np.mean(np.exp(-a * self.samples)))
-            self._memo[key] = got
-        return got
-
-    @property
-    def mean_tau1(self) -> float:
-        return float(np.mean(self.samples))
-
-
-_TAU1_N = 1_000_000        # samples of tau_1 per slope
-_TAU1_SEED = 20231
-_TAU1_CACHES: dict = {}
-_TAU1_LOCK = threading.Lock()
-
-
-def tau1_transform_cache(a_param: float) -> _Tau1Cache:
-    key = float(a_param)
-    with _TAU1_LOCK:
-        cache = _TAU1_CACHES.get(key)
-        if cache is None:
-            cache = _Tau1Cache(key)
-            _TAU1_CACHES[key] = cache
-    return cache
+# drift-minus-unit-Poisson closed form and backend selection
 
 
 def kappa_drift_minus_poisson(a_param: float, a: float, b: float) -> float:
     """kappa(a, b) = a + slope*b + (1 - E exp(-a tau_1)), occupation norm."""
-    if a < 0.0 or b < 0.0:
-        raise ValueError("transform arguments must be nonnegative")
-    cache = tau1_transform_cache(a_param)
-    return a + a_param * b + (1.0 - cache.laplace(a))
+    return dmp_exponent(a_param)(a, b)
 
 
 def dmp_exponent(a_param: float) -> LadderExponent:
+    """Closed-form ladder exponent under the occupation normalization.
+
+    Without upward jumps E exp(-a tau_1) = exp(-Phi(a)), and the cumulant
+    equation slope*Phi(a) + exp(-Phi(a)) - 1 = a turns the occupation form
+    into kappa(a, b) = slope*(Phi(a) + b).
+    """
+    sn = sn_exponent(drift_minus_poisson(a_param))
     return LadderExponent(backend=Backend.DRIFT_MINUS_POISSON, q=0.0,
                           d_L_inv=1.0, d_H=a_param,
-                          eval=partial(kappa_drift_minus_poisson, a_param))
+                          eval=lambda a, b: a_param * sn(a, b))
 
 
-# ---------------------------------------------------------------------------
-# empirical backend
-
-
-def empirical_exponent(model: LevyModel, cfg: Optional[SimConfig] = None,
-                       n_paths: int = 200,
-                       seed: Optional[int] = None) -> LadderExponent:
-    """Record-indexed ladder exponent from simulated paths.
-
-    One epoch per strict new-maximum record; defective mass comes from
-    paths whose maximum stopped growing before the horizon. Only
-    normalization-invariant functionals of the result are meaningful.
-    """
-    prepared = prepare(model, cfg)
-    seed = prepared.cfg.seed if seed is None else seed
-    dts = []
-    dhs = []
-    killed = 0
-    for r in range(n_paths):
-        sample = extract_ladder(prepared, rng=stream(seed, 0, r))
-        for dt, dh in sample.epochs:
-            dts.append(dt)
-            dhs.append(dh)
-        if sample.killed:
-            killed += 1
-    dts_a = np.asarray(dts)
-    dhs_a = np.asarray(dhs)
-    denom = len(dts_a) + killed
-    if denom == 0:
-        raise ModelError("no ladder epochs observed before the horizon")
-    q = -math.log(len(dts_a) / denom) if killed else 0.0
-
-    def _eval(a: float, b: float) -> float:
-        if a < 0.0 or b < 0.0:
-            raise ValueError("transform arguments must be nonnegative")
-        m = float(np.sum(np.exp(-a * dts_a - b * dhs_a))) / denom
-        return -math.log(m)
-
-    return LadderExponent(backend=Backend.EMPIRICAL, q=q, d_L_inv=0.0,
-                          d_H=0.0, eval=_eval)
-
-
-def exponent_for(model: LevyModel, allow_empirical: bool = False,
+def exponent_for(model: LevyModel,
                  cfg: Optional[SimConfig] = None) -> LadderExponent:
-    """Pick the natural closed-form backend, or the empirical fallback."""
+    """Pick the closed-form backend of the model's family."""
+    # cfg is unused; passbench/tracing.py still passes its SimConfig
     if model.family == Family.DRIFT_MINUS_POISSON:
         return dmp_exponent(float(model.params["a"]))
     if not model.measure.has_positive_jumps():
@@ -271,12 +164,9 @@ def exponent_for(model: LevyModel, allow_empirical: bool = False,
             return sn_exponent(model)
         except ModelError:
             pass
-    if allow_empirical:
-        return empirical_exponent(model, cfg)
     raise ModelError(
-        "no closed-form ladder exponent for this model; enable the "
-        "empirical backend explicitly if its normalization caveats are "
-        "acceptable")
+        "no closed-form ladder exponent for this model: kappa is exact "
+        "only for drift-minus-poisson and models without upward jumps")
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +257,13 @@ def lt_lattice() -> list:
 class RenewalFunction:
     """Empirical renewal function of the ladder height process.
 
-    For creeping bounded-variation models local time is occupation time at
-    the maximum and is measured exactly as climbed height over the drift;
-    otherwise epochs are counted per record index. In either case the
-    product EL1_inv * eval(u) estimates the expected passage time, which is
-    normalization-invariant.
+    Estimated on event-exact models only, in one of two normalizations.
+    "occupation", for models that creep up and have no upward jumps: local
+    time is occupation time at the maximum, measured exactly as climbed
+    height over the drift. "record-index", for models with drift <= 0,
+    whose records happen only at jumps: local time counts records. In
+    either case the product EL1_inv * eval(u) estimates the expected
+    passage time, which is normalization-invariant.
     """
 
     grid: np.ndarray
@@ -404,22 +296,32 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
                      seed: Optional[int] = None) -> RenewalFunction:
     """Renewal-count estimate of V_H over a level grid.
 
-    Needs a model drifting to +inf so the ladder is proper. The horizon
-    must let paths climb beyond the largest grid level; short horizons
-    truncate V_H from below and raise an error when detected.
+    Needs an event-exact model drifting to +inf so the ladder is proper.
+    A model that both creeps and jumps upward is refused: a record epoch
+    mixes climbed height and jumps, and counting the whole crossing epoch
+    overestimates E tau_u. The horizon must let paths climb beyond the
+    largest grid level; short horizons truncate V_H from below and raise
+    an error when detected.
     """
     if model.hooks.drifts_to is not None and model.hooks.drifts_to != 1:
         raise ModelError(
             "the ladder is defective unless the model drifts to +inf")
+    if choose_engine(model) != "event-exact":
+        raise ModelError(
+            "the renewal estimate needs an event-exact model (no Gaussian "
+            "part, finite jump activity); a skeleton path records ladder "
+            "epochs at substep resolution")
+    creep = model.drift_bv() > 0.0
+    if creep and model.measure.has_positive_jumps():
+        raise ModelError(
+            "the renewal estimate needs a model that either creeps up or "
+            "jumps up, not both: its record epochs mix the two")
     u_grid = np.asarray(u_grid, dtype=float)
     if len(u_grid) == 0 or np.any(u_grid <= 0.0) or \
             np.any(np.diff(u_grid) <= 0.0):
         raise ValueError("u_grid must be nonempty, positive, increasing")
     prepared = prepare(model, cfg)
     seed = prepared.cfg.seed if seed is None else seed
-    creep = (model.sigma2 == 0.0 and model.is_bv()
-             and model.drift_bv() > 0.0
-             and not model.measure.has_positive_jumps())
     d = model.drift_bv() if creep else math.nan
 
     per_path = np.empty((n_paths, len(u_grid)))
@@ -428,10 +330,10 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
     tot_h = np.empty(n_paths)
     short = 0
     for r in range(n_paths):
-        sample = extract_ladder(prepared, rng=stream(seed, 0, r))
-        if not sample.epochs:
+        epochs = extract_ladder(prepared, rng=stream(seed, 0, r))
+        if not epochs:
             raise ModelError("no ladder epochs observed before the horizon")
-        arr = np.asarray(sample.epochs)
+        arr = np.asarray(epochs)
         dts, dhs = arr[:, 0], arr[:, 1]
         cum = np.cumsum(dhs)
         if cum[-1] <= u_grid[-1]:
@@ -444,7 +346,8 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
             per_path[r] = seg.sum(axis=0) / d
             tot_l[r] = cum[-1] / d
         else:
-            # epochs starting at or below u, including the crossing epoch
+            # records happen only at jumps: epochs starting at or below u,
+            # the crossing epoch included, number the records up to tau_u
             starts = np.concatenate(([0.0], cum[:-1]))
             per_path[r] = (starts[:, None] <= u_grid[None, :]).sum(axis=0)
             tot_l[r] = len(dts)

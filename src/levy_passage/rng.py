@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "substream"]
+__all__ = ["stream"]
 
 _MASK32 = (1 << 32) - 1
 
@@ -24,8 +24,3 @@ def stream(seed: int, level_index: int = 0, replication: int = 0) -> np.random.G
     key = np.array([np.uint64(seed & (1 << 64) - 1), np.uint64(packed)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def substream(seed: int, label: int) -> np.random.Generator:
-    """Stream for auxiliary draws (cached transforms, warmups)."""
-    return stream(seed, level_index=_MASK32, replication=label & _MASK32)

@@ -20,9 +20,10 @@ Two engines cover all models:
 `prepare(model, cfg)` chooses the engine and builds its parts once. Each
 engine has one path generator: blocks of exponential waits and jumps for
 event-exact models, single substeps and jumps in draw order for the
-skeleton. Four consumers read them: first passage, fixed time, coupled
-levels and ladder records. Only the jump-free skeleton passage draws its
-substeps blockwise, on its own.
+skeleton. Three consumers read both: first passage, fixed time and coupled
+levels. Ladder records read only the event-exact generator, since on the
+skeleton they would fall on the dt grid. Only the jump-free skeleton
+passage draws its substeps blockwise, on its own.
 
 Per-replication random streams make every batch reproducible independently
 of batching or execution order.
@@ -43,7 +44,6 @@ __all__ = [
     "SimConfig",
     "PassageRecord",
     "PassageBatch",
-    "LadderSample",
     "PreparedModel",
     "choose_engine",
     "prepare",
@@ -134,21 +134,6 @@ class PassageBatch:
     @property
     def censored_fraction(self) -> float:
         return 1.0 - self.n_ruined / max(self.n, 1)
-
-
-@dataclass
-class LadderSample:
-    """Empirical ladder epochs from one path.
-
-    epochs are (elapsed real time, height increment) pairs recorded at
-    strict new running maxima; elapsed time is the gap since the previous
-    record and proxies the inverse-local-time increment. killed is a
-    heuristic flag: no new record was seen over the last quarter of the
-    horizon, suggesting the maximum has stopped increasing.
-    """
-
-    epochs: list
-    killed: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,14 +252,13 @@ def _event_blocks(p: PreparedModel, rng, horizon: float):
         x = post[-1]
 
 
-def _skeleton_steps(p: PreparedModel, rng, horizon: float, bridge: bool):
+def _skeleton_steps(p: PreparedModel, rng, horizon: float):
     """Skeleton path up to horizon, one substep or jump at a time.
 
     Yields (t, step, x0, x1, m) for a substep from time t to t + step that
-    moves from x0 to x1 with maximum m: the sampled Brownian-bridge maximum
-    when bridge is set, else max(x0, x1). Yields (t, None, x0, x1, None)
-    for a jump at time t from x0 to x1. Only the ladder walk, which reads
-    no maximum, clears bridge, so that it draws no bridge uniform.
+    moves from x0 to x1 with maximum m: the sampled Brownian-bridge maximum,
+    which draws one uniform per substep, or max(x0, x1) without a Gaussian
+    part. Yields (t, None, x0, x1, None) for a jump at time t from x0 to x1.
     """
     b = p.drift
     sig2 = p.sigma2
@@ -292,7 +276,7 @@ def _skeleton_steps(p: PreparedModel, rng, horizon: float, bridge: bool):
             if sig2 > 0.0:
                 x1 = x + b * step + sig * math.sqrt(step) * rng.standard_normal()
                 m = _bridge_max(x, x1, sig2 * step, math.log(rng.random()),
-                                math.sqrt) if bridge else max(x, x1)
+                                math.sqrt)
             else:
                 x1 = x + b * step
                 m = max(x, x1)
@@ -373,7 +357,7 @@ def _first_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
         return _record(u, u / d if d > 0.0 else math.inf, horizon) \
             if p.exact else _diffusion_passage(p, u, rng)
     if not p.exact:
-        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon, True):
+        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon):
             if step is None:            # a jump at t from x0 to x1
                 if x1 > u:
                     return _record(u, t, x=x1, under=u - max(mx, x0),
@@ -443,7 +427,7 @@ def _fixed_time(p: PreparedModel, horizon: float, rng) -> tuple:
     d = p.drift
     x = mx = g = 0.0
     if not p.exact:
-        for t, step, _, x, m in _skeleton_steps(p, rng, horizon, True):
+        for t, step, _, x, m in _skeleton_steps(p, rng, horizon):
             top = x if step is None else m
             if top >= mx:
                 mx, g = float(top), t if step is None else t + step
@@ -471,7 +455,7 @@ def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
     mx = 0.0
     nxt = 0  # first level not yet crossed
     if not p.exact:
-        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon, True):
+        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon):
             top = x1 if step is None else m
             while nxt < len(levels) and levels[nxt] < top:
                 u = levels[nxt]
@@ -515,17 +499,11 @@ def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
 
 
 def _ladder_records(p: PreparedModel, rng) -> tuple:
-    """Times and height increments of strict new maxima up to the horizon."""
+    """Times and height increments of strict new maxima up to the horizon,
+    on an event-exact path."""
     horizon = p.cfg.horizon
     d = p.drift
     times, heights, mx = [], [], 0.0
-    if not p.exact:
-        for t, step, _, x1, _ in _skeleton_steps(p, rng, horizon, False):
-            if x1 > mx:
-                times.append(t if step is None else t + step)
-                heights.append(float(x1 - mx))
-                mx = float(x1)
-        return times, heights
     if p.rate == 0.0:
         return ([horizon], [d * horizon]) if d > 0.0 else ([], [])
     for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
@@ -621,18 +599,23 @@ def ratio_paths(model, levels, n: int, seed: Optional[int] = None,
 
 
 def extract_ladder(model, cfg: Optional[SimConfig] = None,
-                   rng: Optional[np.random.Generator] = None) -> LadderSample:
+                   rng: Optional[np.random.Generator] = None) -> list:
     """Walk one path to the horizon recording strict new-maximum epochs.
 
-    Each epoch is (elapsed real time since the previous record, height
-    increment). Event-exact models record at event boundaries; the skeleton
-    engine records at substep endpoints, a documented discretization.
+    Returns (elapsed real time since the previous record, height increment)
+    pairs. Records are exact only on event-exact paths, where they fall at
+    jumps or at segment ends; a skeleton path would record at substep ends,
+    and its record count grows without limit as dt shrinks, so skeleton
+    models are refused before any sampler is built.
     """
+    base = model.model if isinstance(model, PreparedModel) else model
+    if choose_engine(base) != "event-exact":
+        raise ModelError(
+            "ladder records need an event-exact model (no Gaussian part, "
+            "finite jump activity); a skeleton path records at substep "
+            "resolution")
     p = prepare(model, cfg)
     if rng is None:
         rng = stream(p.cfg.seed, 0, 0)
     times, heights = _ladder_records(p, rng)
-    last_t = times[-1] if times else 0.0
-    return LadderSample(
-        epochs=list(zip(np.diff(times, prepend=0.0).tolist(), heights)),
-        killed=(p.cfg.horizon - last_t) > 0.25 * p.cfg.horizon)
+    return list(zip(np.diff(times, prepend=0.0).tolist(), heights))

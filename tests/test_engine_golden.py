@@ -63,8 +63,8 @@ def _coupled(model, cfg, n=40, seed=13):
 def _ladder(model, cfg, n=6, seed=14):
     out = []
     for r in range(n):
-        s = extract_ladder(model, cfg, rng=stream(seed, 0, r))
-        out.append(np.asarray(s.epochs, dtype=float).reshape(-1, 2))
+        epochs = extract_ladder(model, cfg, rng=stream(seed, 0, r))
+        out.append(np.asarray(epochs, dtype=float).reshape(-1, 2))
     return out
 
 

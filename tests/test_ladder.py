@@ -11,14 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from levy_passage.ladder import (Backend, dmp_exponent, empirical_exponent,
-                                 exponent_for, kappa_drift_minus_poisson,
+from levy_passage.ladder import (Backend, dmp_exponent, exponent_for,
+                                 kappa_drift_minus_poisson,
                                  kappa_spectrally_negative, lt_lattice,
                                  renewal_estimate, sn_exponent,
-                                 tau1_transform_cache, verify_lt_identity)
-from levy_passage.models import (ModelError, brownian_drift, cramer_lundberg,
+                                 verify_lt_identity)
+from levy_passage.measures import ExponentialJump
+from levy_passage.models import (ModelError, brownian_drift,
+                                 compound_poisson_drift, cramer_lundberg,
                                  drift_minus_poisson, spectrally_negative)
-from levy_passage.simulate import SimConfig
+from levy_passage.simulate import SimConfig, passage_sample
 
 DMP = drift_minus_poisson(2.0)
 SNBV = spectrally_negative(2.0, 1.0, 1.0)
@@ -106,20 +108,17 @@ def test_dmp_exponent_drifts():
     assert k.d_L_inv * DMP.drift_bv() == k.d_H
 
 
-def test_tau1_cache_moments():
-    cache = tau1_transform_cache(2.0)
-    assert cache.laplace(0.0) == pytest.approx(1.0, abs=1e-15)
-    # E tau_1 = 1/(a-1) = 1 by Wald
-    assert cache.mean_tau1 == pytest.approx(1.0, abs=0.01)
-    assert cache.laplace(1.0) < cache.laplace(0.5) < 1.0
-
-
-def test_tau1_cache_is_shared_and_deterministic():
-    a = tau1_transform_cache(2.0)
-    b = tau1_transform_cache(2.0)
-    assert a is b
-    assert tau1_transform_cache(3.0) is not a
-    assert a.laplace(0.7) == b.laplace(0.7)
+def test_dmp_tau1_transform_matches_the_event_exact_engine():
+    # E exp(-a tau_1) = 1 - kappa(a, 0) + a in the occupation normalization
+    k = dmp_exponent(2.0)
+    batch = passage_sample(DMP, 1.0, 20000, seed=3,
+                           cfg=SimConfig(horizon=1e4))
+    assert batch.ruined.all()
+    for a in (0.5, 1.0, 3.0):
+        vals = np.exp(-a * batch.tau)
+        se = np.std(vals, ddof=1) / math.sqrt(len(vals))
+        z = (np.mean(vals) - (1.0 - k(a, 0.0) + a)) / se
+        assert abs(z) <= 4.0, (a, z)
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +128,8 @@ def test_tau1_cache_is_shared_and_deterministic():
 def test_exponent_for_picks_family_backends():
     assert exponent_for(DMP).backend is Backend.DRIFT_MINUS_POISSON
     assert exponent_for(SNBV).backend is Backend.SPECTRALLY_NEGATIVE
-    with pytest.raises(ModelError, match="empirical"):
+    with pytest.raises(ModelError, match="no closed-form ladder exponent"):
         exponent_for(cramer_lundberg(1.0, 2.0, 1.0))
-
-
-def test_empirical_backend_fallback():
-    cfg = SimConfig(horizon=300.0)
-    k = empirical_exponent(DMP, cfg, n_paths=50, seed=60)
-    assert k.backend is Backend.EMPIRICAL
-    assert k.q == 0.0                        # drifts up: no killing
-    assert k(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert k(1.0, 0.0) > 0.0
-    assert k(2.0, 0.0) > k(1.0, 0.0)
-    assert k(0.0, 2.0) > k(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +230,23 @@ def test_renewal_refuses_defective_ladder():
     with pytest.raises(ModelError, match="defective|drifts"):
         renewal_estimate(cramer_lundberg(1.0, 2.0, 1.0), None, [1.0],
                          n_paths=40)
+
+
+def test_renewal_record_index_matches_closed_form_mean_exit():
+    # drift -p with Exp(alpha) upward jumps at rate lam: records happen only
+    # at jumps, and E tau_u = (u + 1/alpha) / (lam/alpha - p) = 3 here
+    m = cramer_lundberg(2.0, 1.0, 1.0)
+    fn = renewal_estimate(m, SimConfig(horizon=400.0), [1.0, 2.0],
+                          n_paths=1000, seed=69)
+    assert fn.normalization == "record-index"
+    # each record is one Exp(1) overshoot: E H_1 = 1 and V_H(u) = 1 + u
+    assert abs(fn.EH1 - 1.0) <= 0.05
+    se = math.hypot(fn.value_se[1] * fn.EL1_inv, 3.0 * fn.EL1_inv_se)
+    assert abs(fn.exit_time(2.0) - 3.0) <= 4.0 * se, (fn.exit_time(2.0), se)
+
+
+def test_renewal_refuses_creeping_with_upward_jumps():
+    # drift 1 and Exp(2) upward jumps: record epochs mix climbs and jumps
+    m = compound_poisson_drift(1.0, ExponentialJump(2.0, sign=1), 1.0)
+    with pytest.raises(ModelError, match="creeps up or jumps up"):
+        renewal_estimate(m, SimConfig(horizon=400.0), [2.0], n_paths=10)

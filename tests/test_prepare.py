@@ -16,11 +16,11 @@ from levy_passage.cramer import ruin_grid, ruin_is
 from levy_passage.ladder import (Backend, LadderExponent, renewal_estimate,
                                  verify_lt_identity)
 from levy_passage.measures import JumpMeasure
-from levy_passage.models import (brownian_drift, cramer_lundberg,
+from levy_passage.models import (ModelError, brownian_drift, cramer_lundberg,
                                  custom_model, drift_minus_poisson)
 from levy_passage.rng import stream
-from levy_passage.simulate import (SimConfig, prepare, ratio_path,
-                                   ratio_paths, simulate_passage)
+from levy_passage.simulate import (SimConfig, extract_ladder, prepare,
+                                   ratio_path, ratio_paths, simulate_passage)
 
 EXP2 = "pow(2.718281828459045, -2*x)"
 JD = custom_model(gamma=1.0, sigma2=1.0, pos_tail=EXP2, neg_tail=EXP2)
@@ -67,13 +67,16 @@ def test_ratio_paths_build_the_sampler_once(sampler_builds):
     assert sampler_builds[0] == 1
 
 
-def test_renewal_estimate_builds_the_sampler_once(sampler_builds):
-    renewal_estimate(JD, CFG, [0.5, 1.0, 2.0], n_paths=5, seed=3)
-    assert sampler_builds[0] == 1
+def test_ladder_walks_refuse_skeleton_models_before_building(sampler_builds):
+    with pytest.raises(ModelError, match="event-exact"):
+        renewal_estimate(JD, CFG, [0.5, 1.0, 2.0], n_paths=5, seed=3)
+    with pytest.raises(ModelError, match="event-exact"):
+        extract_ladder(JD, CFG, stream(3))
+    assert sampler_builds[0] == 0
 
 
 def test_lt_identity_builds_the_sampler_once(sampler_builds):
-    kappa = LadderExponent(Backend.EMPIRICAL, 0.0, 0.0, 0.0,
+    kappa = LadderExponent(Backend.DRIFT_MINUS_POISSON, 0.0, 0.0, 0.0,
                            lambda a, b: 1.0 + a + b)
     verify_lt_identity(JD, kappa, mu=1.0, n=5, seed=3, cfg=CFG)
     assert sampler_builds[0] == 1
