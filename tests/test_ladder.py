@@ -241,7 +241,7 @@ def test_renewal_record_index_matches_closed_form_mean_exit():
     assert fn.normalization == "record-index"
     # each record is one Exp(1) overshoot: E H_1 = 1 and V_H(u) = 1 + u
     assert abs(fn.EH1 - 1.0) <= 0.05
-    se = math.hypot(fn.value_se[1] * fn.EL1_inv, 3.0 * fn.EL1_inv_se)
+    se = math.hypot(fn.value_se[1] * fn.EL1_inv, fn.values[1] * fn.EL1_inv_se)
     assert abs(fn.exit_time(2.0) - 3.0) <= 4.0 * se, (fn.exit_time(2.0), se)
 
 
