@@ -108,6 +108,29 @@ def test_dmp_exponent_drifts():
     assert k.d_L_inv * DMP.drift_bv() == k.d_H
 
 
+def _tau1_laplace(slope, a):
+    # E exp(-a tau_1) = 1 - kappa(a, 0) + a in the occupation normalization
+    return 1.0 - kappa_drift_minus_poisson(slope, a, 0.0) + a
+
+
+def test_tau1_cache_moments():
+    assert _tau1_laplace(2.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    # E tau_1 = 1/(a-1) = 1 by Wald, from the slope of the transform at 0
+    h = 1e-6
+    mean_tau1 = (1.0 - _tau1_laplace(2.0, h)) / h
+    assert mean_tau1 == pytest.approx(1.0, abs=0.01)
+    assert _tau1_laplace(2.0, 1.0) < _tau1_laplace(2.0, 0.5) < 1.0
+
+
+def test_tau1_cache_is_shared_and_deterministic():
+    # the closed form holds no sampled state: equal slopes agree bit for bit
+    a = dmp_exponent(2.0)
+    b = dmp_exponent(2.0)
+    assert a(0.7, 0.0) == b(0.7, 0.0)
+    assert _tau1_laplace(2.0, 0.7) == _tau1_laplace(2.0, 0.7)
+    assert dmp_exponent(3.0)(0.7, 0.0) != a(0.7, 0.0)
+
+
 def test_dmp_tau1_transform_matches_the_event_exact_engine():
     # E exp(-a tau_1) = 1 - kappa(a, 0) + a in the occupation normalization
     k = dmp_exponent(2.0)
