@@ -467,8 +467,7 @@ def appendix_demo(model: LevyModel, times, n: int,
     """Fixed-time ratio quantiles across a time grid.
 
     For infinite-activity models the jump cutoff is re-chosen per time
-    point so each path sees a bounded number of resolved jumps, and the
-    skeleton substep is scaled to the time point.
+    point so each path sees a bounded number of resolved jumps.
     """
     cfg = cfg or SimConfig()
     seed = cfg.seed if seed is None else seed
@@ -480,10 +479,10 @@ def appendix_demo(model: LevyModel, times, n: int,
         eps = cutoff_for_rate(model, min(events_per_path / t,
                                          0.99 * cfg.rate_cap))
         prepared = prepare(model, SimConfig(
-            epsilon=eps, dt=t / 64.0, horizon=cfg.horizon, seed=cfg.seed,
+            epsilon=eps, horizon=cfg.horizon, seed=cfg.seed,
             rate_cap=cfg.rate_cap))
         if prepared.exact:
-            # the event-exact engine uses neither the cutoff nor dt
+            # the event-exact engine uses no cutoff
             eps = 0.0
         xs, ms, _ = fixed_time_sample(prepared, float(t), n, seed=seed,
                                       level_index=i)

@@ -309,8 +309,8 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
     if choose_engine(model) != "event-exact":
         raise ModelError(
             "the renewal estimate needs an event-exact model (no Gaussian "
-            "part, finite jump activity); a skeleton path records ladder "
-            "epochs at substep resolution")
+            "part, finite jump activity); a Gaussian part sets new maxima "
+            "continuously")
     creep = model.drift_bv() > 0.0
     if creep and model.measure.has_positive_jumps():
         raise ModelError(

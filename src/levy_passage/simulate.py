@@ -3,27 +3,24 @@
 Two engines cover all models:
 
 * event-exact: bounded-variation finite-activity models (a drift line
-  between Poisson jump events). Crossing times, overshoots, undershoots and
-  last-maximum times are exact to floating point; upward drift crossings
-  (creep) hit the level with zero overshoot, and a first-segment creep from
-  the origin returns tau = u/d bitwise.
+  between Poisson jump events). Upward drift crossings (creep) hit the
+  level with zero overshoot, and a first-segment creep from the origin
+  returns tau = u/d bitwise.
 * gaussian-skeleton: everything with a Gaussian component or infinite jump
   activity. Jumps of modulus above the cutoff epsilon are simulated exactly
   as a marked Poisson process; smaller jumps are folded into the drift and
-  an effective Gaussian variance matching the truncated second moment. The
-  Gaussian part advances on a dt grid, and within each substep the exact
-  Brownian bridge maximum is sampled, so crossings are never missed at grid
-  resolution. Crossing times are placed inside the substep by interpolation;
-  last-maximum times are recorded at substep resolution (a documented
-  discretization of G, not eliminated).
+  an effective Gaussian variance matching the truncated second moment.
+  Between two jumps the path is a Brownian bridge, and its end, maximum,
+  first hitting time of a level and time of maximum are sampled exactly,
+  so the cutoff is the only approximation.
 
-`prepare(model, cfg)` chooses the engine and builds its parts once. Each
-engine has one path generator: blocks of exponential waits and jumps for
-event-exact models, single substeps and jumps in draw order for the
-skeleton. Three consumers read both: first passage, fixed time and coupled
-levels. Ladder records read only the event-exact generator, since on the
-skeleton they would fall on the dt grid. Only the jump-free skeleton
-passage draws its substeps blockwise, on its own.
+`prepare(model, cfg)` chooses the engine and builds its parts once. One
+path generator serves both engines: blocks of segments (the motion between
+two jumps) with their ends, jumps and maxima. Three consumers read it:
+first passage, fixed time and coupled levels. Ladder records read only
+event-exact paths, since a Gaussian part sets new maxima continuously.
+Crossing times, overshoots, undershoots and last-maximum times are exact to
+floating point on both engines.
 
 Per-replication random streams make every batch reproducible independently
 of batching or execution order.
@@ -57,8 +54,7 @@ __all__ = [
     "cutoff_for_rate",
 ]
 
-_EVENT_BLOCK = 64          # events drawn at once by the event generator
-_DIFFUSION_BLOCK = 4096    # substeps drawn at once by the diffusion passage
+_EVENT_BLOCK = 64          # segments drawn at once by the path generator
 
 
 @dataclass
@@ -66,7 +62,8 @@ class SimConfig:
     """Simulation settings.
 
     epsilon: jump-size cutoff for infinite-activity measures.
-    dt: substep length of the Gaussian skeleton.
+    dt: unread; the skeleton samples Brownian bridges between jumps
+        exactly, on no time grid. Kept so that existing configs load.
     horizon: censor time; passages not seen by then count as censored.
     seed: default stream seed for batch entry points.
     rate_cap: refuse cutoffs producing a jump intensity above this.
@@ -228,109 +225,138 @@ def cutoff_for_rate(model: LevyModel, target_rate: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# path generators
+# the path generator
 
 
 def _event_blocks(p: PreparedModel, rng, horizon: float):
-    """Event-exact path in blocks, until a block would start past horizon.
+    """The path in blocks of up to _EVENT_BLOCK segments, up to horizon.
 
-    Yields (t, x, ct, pre, post): the block's start time and position, its
-    event times relative to t, and the positions just before and just after
-    each jump.
+    A segment is the motion between two jumps: a drift line without a
+    Gaussian part, a Brownian bridge with one. Yields (t, x, te, pre, post,
+    top): the block's start time and position, and for each segment its
+    end time, the positions just before and just after the jump that ends
+    it, and its maximum.
+
+    Without a Gaussian part a segment's maximum is its end on upward drift
+    and -inf otherwise, where it sets no record, and blocks run on until
+    one ends past horizon. With one, the segment that holds horizon is cut
+    there and ends the path, with no jump; after the waits and jumps the
+    generator draws the segment ends, then their bridge maxima. A model
+    without jumps is one segment to horizon.
     """
     d = p.drift
-    scale = 1.0 / p.rate
+    sig2 = p.sigma2
     t = x = 0.0
-    while t <= horizon:
-        w = rng.exponential(scale, _EVENT_BLOCK)
-        j = p.draw(rng, _EVENT_BLOCK)
-        ct = np.cumsum(w)
+    while True:
+        if p.rate == 0.0:
+            ct, j = np.array([horizon]), np.zeros(1)
+        else:
+            ct = np.cumsum(rng.exponential(1.0 / p.rate, _EVENT_BLOCK))
+            j = p.draw(rng, _EVENT_BLOCK)
+        te = t + ct
+        last = te[-1] >= horizon
+        if sig2 > 0.0 and last:
+            n = int(np.searchsorted(te, horizon)) + 1
+            te = np.append(te[:n - 1], horizon)
+            ct, j = te - t, np.append(j[:n - 1], 0.0)
         pre = x + d * ct + np.concatenate(([0.0], np.cumsum(j)[:-1]))
-        post = pre + j
-        yield t, x, ct, pre, post
-        t += ct[-1]
+        if sig2 > 0.0:
+            s = np.diff(te, prepend=t)
+            pre += np.cumsum(np.sqrt(sig2 * s) * rng.standard_normal(len(s)))
+            post = pre + j
+            top = _bridge_max(np.concatenate(([x], post[:-1])), pre, sig2 * s,
+                              np.log(rng.random(len(s))))
+        else:
+            post = pre + j
+            top = pre if d > 0.0 else np.full(len(pre), -math.inf)
+        yield t, x, te, pre, post, top
+        if last:
+            return
+        t = te[-1]
         x = post[-1]
 
 
-def _skeleton_steps(p: PreparedModel, rng, horizon: float):
-    """Skeleton path up to horizon, one substep or jump at a time.
+def _bridge_max(x0, x1, var, logu):
+    """Exact maximum of a Brownian bridge from x0 to x1 with variance var.
 
-    Yields (t, step, x0, x1, m) for a substep from time t to t + step that
-    moves from x0 to x1 with maximum m: the sampled Brownian-bridge maximum,
-    which draws one uniform per substep, or max(x0, x1) without a Gaussian
-    part. Yields (t, None, x0, x1, None) for a jump at time t from x0 to x1.
+    With q = -2 var log U, the maximum is the larger root of
+    (m - x0)(m - x1) = q/2, always at least max(x0, x1).
     """
-    b = p.drift
-    sig2 = p.sigma2
-    sig = math.sqrt(sig2)
-    dt = p.cfg.dt
-    t = x = 0.0
-    next_jump = t + rng.exponential(1.0 / p.rate) if p.rate > 0.0 else math.inf
-    while t < horizon:
-        seg_end = min(next_jump, horizon)
-        while t < seg_end:
-            step = min(dt, seg_end - t)
-            if t + step == t:   # step below float resolution at this t
-                t = seg_end
-                break
-            if sig2 > 0.0:
-                x1 = x + b * step + sig * math.sqrt(step) * rng.standard_normal()
-                m = _bridge_max(x, x1, sig2 * step, math.log(rng.random()),
-                                math.sqrt)
-            else:
-                x1 = x + b * step
-                m = max(x, x1)
-            yield t, step, x, x1, m
-            t += step
-            x = float(x1)
-        if t >= horizon:
-            break
-        x0 = x
-        x += float(p.draw(rng, 1)[0])
-        yield t, None, x0, x, None
-        next_jump = t + rng.exponential(1.0 / p.rate)
-
-
-def _bridge_max(x0, x1, sig2dt, logu, sqrt=np.sqrt):
-    """Exact maximum of a Brownian bridge over one substep.
-
-    With q = -2 sig2 dt log U, the maximum is the larger root of
-    (m - x0)(m - x1) = q/2, always at least max(x0, x1). Scalar callers
-    pass math.sqrt: it rounds as np.sqrt does, at lower cost per call.
-    """
-    q = -sig2dt * logu
+    q = -var * logu
     disc = (x1 - x0) ** 2 + 2.0 * q
-    return 0.5 * (x0 + x1 + sqrt(disc))
+    return 0.5 * (x0 + x1 + np.sqrt(disc))
 
 
-def _crossing_fraction(u, x0, x1):
-    """Where in a substep from x0 to x1 the level u is placed, in [0, 1]."""
-    frac = (u - x0) / (x1 - x0) if x1 > x0 else 0.5
-    return min(max(frac, 0.0), 1.0)
+def _hit_time(p: PreparedModel, rng, u, t0, t1, a, b):
+    """Time at which the segment from a at t0 to b at t1 first passes u,
+    given that it does.
+
+    On a drift line that is where the line meets u. On a Brownian bridge
+    over s = t1 - t0 it is t0 + s Y/(1 + Y), with Y inverse Gaussian of
+    mean (u - a)/|u - b| and shape (u - a)^2/(sigma2 s).
+    """
+    if p.sigma2 == 0.0:
+        return t0 + (u - a) / p.drift
+    s = t1 - t0
+    shape = (u - a) ** 2 / (p.sigma2 * s)
+    if b == u:      # infinite mean: the limit law is shape / Z^2
+        y = shape / rng.standard_normal() ** 2
+    else:
+        y = rng.wald((u - a) / abs(u - b), shape)
+    return t0 + s * y / (1.0 + y)
 
 
-def _interleave(pre, post, d):
-    """Segment tops and jump tops in path order; segment tops can set
-    records only with upward drift, so with d <= 0 they enter as -inf."""
-    vals = np.empty(len(pre) + len(post))
-    vals[0::2] = pre if d > 0.0 else -math.inf
+def _max_time(p: PreparedModel, rng, m, last):
+    """Time at which the path attains its maximum m for the last time.
+
+    last is that time, or (block, i) for entry i of the block's
+    interleaved segment maxima and jump landings (see _scan_records). Only
+    a bridge maximum strictly inside its segment draws a time: by Shepp
+    (J. Appl. Prob. 1979) it is at t0 + s y/(1 + y), where with probability
+    (m - b)/(2m - a - b) y is inverse Gaussian of mean (m - a)/(m - b) and
+    shape (m - a)^2/(sigma2 s), and otherwise 1/y is inverse Gaussian with
+    a and b swapped.
+    """
+    if not isinstance(last, tuple):
+        return last
+    (t, x, te, pre, post, _), i = last
+    k = i // 2
+    t1 = float(te[k])
+    b = pre[k]
+    if i % 2 or m <= b:
+        return t1
+    t0, a = (float(te[k - 1]), post[k - 1]) if k else (t, x)
+    if m <= a:
+        return t0
+    s = t1 - t0
+    if rng.random() * (2.0 * m - a - b) < m - b:
+        y = rng.wald((m - a) / (m - b), (m - a) ** 2 / (p.sigma2 * s))
+    else:
+        y = 1.0 / rng.wald((m - b) / (m - a), (m - b) ** 2 / (p.sigma2 * s))
+    return t0 + s * y / (1.0 + y)
+
+
+def _interleave(top, post):
+    """Segment maxima and jump landings in path order."""
+    vals = np.empty(len(top) + len(post))
+    vals[0::2] = top
     vals[1::2] = post
     return vals
 
 
-def _scan_records(t, ct, pre, post, mx, g, d):
-    """Update (last max time, max) over a block of events.
+def _scan_records(blk, n, mx, last):
+    """Update (maximum, last record) over the first n entries of the
+    block's interleaved segment maxima and jump landings.
 
-    Ties count as reattained maxima: the last-maximum time tracks the most
-    recent visit to the maximum.
+    Ties count as reattained maxima: the last record tracks the most
+    recent visit to the maximum. Its time is resolved by _max_time.
     """
-    vals = _interleave(pre, post, d)
+    vals = _interleave(blk[5], blk[4])[:n]
     prior = np.maximum.accumulate(np.concatenate(([mx], vals)))[:-1]
     rec = np.flatnonzero(vals >= prior)
     if rec.size:
-        g = t + float(ct[rec[-1] // 2])
-        mx = max(mx, float(np.max(vals)))
-    return g, mx
+        return max(mx, float(np.max(vals))), (blk, int(rec[-1]))
+    return mx, last
 
 
 # ---------------------------------------------------------------------------
@@ -351,150 +377,101 @@ def _record(u, tau, horizon=math.inf, x=None, under=0.0, g=None):
 def _first_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
     """First passage over u along one path, censored at the horizon."""
     horizon = p.cfg.horizon
-    d = p.drift
-    mx = g = 0.0
-    if p.rate == 0.0:
-        return _record(u, u / d if d > 0.0 else math.inf, horizon) \
-            if p.exact else _diffusion_passage(p, u, rng)
-    if not p.exact:
-        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon):
-            if step is None:            # a jump at t from x0 to x1
-                if x1 > u:
-                    return _record(u, t, x=x1, under=u - max(mx, x0),
-                                   g=t if x0 >= mx else g)
-                if x1 >= mx:
-                    mx, g = x1, t
-            elif m > u:
-                return _record(u, t + step * _crossing_fraction(u, x0, x1))
-            elif m >= mx:
-                mx, g = float(m), t + step
-        return _record(u, math.inf)
-    for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
-        cross_creep = pre > u if d > 0.0 else np.zeros(len(pre), bool)
-        hit = np.flatnonzero(cross_creep | (post > u))
+    mx, last = 0.0, 0.0
+    for blk in _event_blocks(p, rng, horizon):
+        t, x, te, pre, post, top = blk
+        hit = np.flatnonzero((top > u) | (post > u))
         if not hit.size:
-            g, mx = _scan_records(t, ct, pre, post, mx, g, d)
+            mx, last = _scan_records(blk, 2 * len(te), mx, last)
             continue
         k = int(hit[0])
-        if cross_creep[k]:
-            # forward from the segment start: exact, and bitwise u/d on a
-            # first-segment crossing from the origin
-            x_seg = post[k - 1] if k else x
-            return _record(u, t + (ct[k - 1] if k else 0.0)
-                           + (u - x_seg) / d, horizon)
-        tau = t + ct[k]
-        g, mx = _scan_records(t, ct[:k + 1], pre[:k + 1], post[:k], mx, g, d)
+        if top[k] > u:
+            # a continuous crossing: forward from the segment start, which
+            # on a line from the origin is bitwise u/d
+            t0, a = (te[k - 1], post[k - 1]) if k else (t, x)
+            return _record(u, _hit_time(p, rng, u, t0, te[k], a, pre[k]),
+                           horizon)
+        mx, last = _scan_records(blk, 2 * k + 1, mx, last)
         if pre[k] >= mx:
-            g, mx = tau, pre[k]
-        return _record(u, tau, horizon, float(post[k]), float(u - mx), g)
-    return _record(u, math.inf)
-
-
-def _diffusion_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
-    """Jump-free skeleton passage, drawing its substeps blockwise."""
-    b = p.drift
-    sig = math.sqrt(p.sigma2)
-    dt = p.cfg.dt
-    horizon = p.cfg.horizon
-    nblock = min(max(int((u / b) / dt * 1.5) if b > 0 else 0, 256),
-                 _DIFFUSION_BLOCK)
-    t = x = mx = g = 0.0
-    sqdt = sig * math.sqrt(dt)
-    while t < horizon:
-        z = rng.standard_normal(nblock)
-        lu = np.log(rng.random(nblock))
-        x1 = x + np.cumsum(b * dt + sqdt * z)
-        x0 = np.concatenate(([x], x1[:-1]))
-        m = _bridge_max(x0, x1, sig * sig * dt, lu)
-        hit = np.flatnonzero(m > u)
-        if hit.size:
-            k = int(hit[0])
-            return _record(u, t + dt * (k + _crossing_fraction(
-                u, x0[k], x1[k])), horizon)
-        prior = np.maximum.accumulate(np.concatenate(([mx], m)))[:-1]
-        rec = np.flatnonzero(m >= prior)
-        if rec.size:
-            g = t + dt * (rec[-1] + 1)
-            mx = float(np.max(m))
-        t += nblock * dt
-        x = float(x1[-1])
-        nblock = _DIFFUSION_BLOCK
+            mx, last = pre[k], te[k]
+        return _record(u, te[k], horizon, float(post[k]), float(u - mx),
+                       _max_time(p, rng, mx, last))
     return _record(u, math.inf)
 
 
 def _fixed_time(p: PreparedModel, horizon: float, rng) -> tuple:
     """(X_t, running max, last max time) at t = horizon."""
     d = p.drift
-    x = mx = g = 0.0
-    if not p.exact:
-        for t, step, _, x, m in _skeleton_steps(p, rng, horizon):
-            top = x if step is None else m
-            if top >= mx:
-                mx, g = float(top), t if step is None else t + step
-        return x, mx, g
-    if p.rate == 0.0:
-        x = d * horizon
-        return (x, x, horizon) if d > 0.0 else (x, 0.0, 0.0)
-    for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
-        k = int(np.searchsorted(t + ct, horizon, side="right"))
-        g, mx = _scan_records(t, ct[:k], pre[:k], post[:k], mx, g, d)
-        if k < _EVENT_BLOCK:    # the horizon falls inside this block
+    mx, last, x_end = 0.0, 0.0, 0.0
+    for blk in _event_blocks(p, rng, horizon):
+        t, x, te, pre, post, top = blk
+        k = int(np.searchsorted(te, horizon, side="right"))
+        mx, last = _scan_records(blk, 2 * k, mx, last)
+        x_end = post[-1]
+        if k < len(te):     # the horizon falls inside drift line k
             x_end = (post[k - 1] if k else x) \
-                + d * (horizon - (t + (ct[k - 1] if k else 0.0)))
+                + d * (horizon - (te[k - 1] if k else t))
             if d > 0.0 and x_end >= mx:
-                mx, g = x_end, horizon
-            return float(x_end), float(mx), g
+                mx, last = x_end, horizon
+    return float(x_end), float(mx), _max_time(p, rng, mx, last)
 
 
 def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
     """Passage times over increasing levels along one path, with the
-    running maximum just before each crossing; nan past the horizon."""
+    running maximum just before each crossing; nan past the horizon.
+
+    After a bridge crosses a level, the rest of it is a bridge from that
+    level, whose maximum is drawn afresh for the next level.
+    """
     horizon = p.cfg.horizon
     d = p.drift
     taus, maxima = np.full((2, len(levels)), math.nan)
-    mx = 0.0
-    nxt = 0  # first level not yet crossed
-    if not p.exact:
-        for t, step, x0, x1, m in _skeleton_steps(p, rng, horizon):
-            top = x1 if step is None else m
-            while nxt < len(levels) and levels[nxt] < top:
-                u = levels[nxt]
-                taus[nxt] = t if step is None \
-                    else t + step * _crossing_fraction(u, x0, x1)
-                maxima[nxt] = max(mx, x0) if step is None else u
-                nxt += 1
-            mx = max(mx, float(top))
-            if nxt == len(levels):
-                break
-        return taus, maxima
-    if p.rate == 0.0:
+    if p.rate == 0.0 and p.sigma2 == 0.0:
+        # the drift line, which passes u = d horizon at the horizon itself
         if d > 0.0:
             tt = levels / d
             ok = tt <= horizon
             taus[ok] = tt[ok]
             maxima[ok] = levels[ok]
         return taus, maxima
-    for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
-        vals = _interleave(pre, post, d)
-        run = np.maximum.accumulate(np.concatenate(([mx], vals)))
-        # vals index of each open level's first exceedance, if in this block
-        i = np.searchsorted(run, levels[nxt:], side="right") - 1
-        i = i[i < len(vals)]
-        k = i // 2
-        creep = i % 2 == 0
-        lv = levels[nxt:nxt + len(i)]
-        tau = t + ct[k]
-        tau[creep] = (t + np.concatenate(([0.0], ct[:-1])))[k[creep]] + (
-            lv[creep] - np.concatenate(([x], post[:-1]))[k[creep]]) / d
-        late = np.flatnonzero(tau > horizon)
-        done = late[0] if late.size else len(i)
-        taus[nxt:nxt + done] = tau[:done]
-        maxima[nxt:nxt + done] = np.where(
-            creep, lv, np.maximum(run[i], pre[k]))[:done]
-        nxt += done
-        if late.size or nxt == len(levels):
+    mx = 0.0
+    nxt = 0  # first level not yet crossed
+    for t, x, te, pre, post, top in _event_blocks(p, rng, horizon):
+        vals = _interleave(top, post)
+        i = 0   # first entry of vals not yet in mx
+        while nxt < len(levels):
+            ahead = np.flatnonzero(vals[i:] > levels[nxt])
+            if not ahead.size:
+                break
+            j = i + int(ahead[0])
+            mx = float(np.max(vals[i:j], initial=mx))
+            k = j // 2
+            if j % 2:   # the jump at te[k] passes every level below post[k]
+                if te[k] > horizon:
+                    return taus, maxima
+                n = int(np.searchsorted(levels, post[k]))
+                taus[nxt:n] = te[k]
+                maxima[nxt:n] = max(mx, pre[k])
+                nxt = n
+            else:
+                t0, a = (te[k - 1], post[k - 1]) if k else (t, x)
+                while nxt < len(levels) and levels[nxt] < vals[j]:
+                    u = levels[nxt]
+                    tau = _hit_time(p, rng, u, t0, te[k], a, pre[k])
+                    if tau > horizon:
+                        return taus, maxima
+                    taus[nxt] = tau
+                    maxima[nxt] = u
+                    nxt += 1
+                    if p.sigma2 > 0.0:
+                        t0, a = tau, u
+                        vals[j] = _bridge_max(u, pre[k], p.sigma2 * (te[k] - tau),
+                                              math.log(rng.random()))
+            mx = max(mx, float(vals[j]))
+            i = j + 1
+        if nxt == len(levels):
             break
-        mx = run[-1]
+        mx = float(np.max(vals[i:], initial=mx))
     return taus, maxima
 
 
@@ -502,20 +479,14 @@ def _ladder_records(p: PreparedModel, rng) -> tuple:
     """Times and height increments of strict new maxima up to the horizon,
     on an event-exact path."""
     horizon = p.cfg.horizon
-    d = p.drift
     times, heights, mx = [], [], 0.0
-    if p.rate == 0.0:
-        return ([horizon], [d * horizon]) if d > 0.0 else ([], [])
-    for t, x, ct, pre, post in _event_blocks(p, rng, horizon):
-        tk = t + ct
-        k = int(np.searchsorted(tk, horizon, side="right"))
-        vals = _interleave(pre[:k], post[:k], d)
+    for t, x, te, pre, post, top in _event_blocks(p, rng, horizon):
+        k = int(np.searchsorted(te, horizon, side="right"))
+        vals = _interleave(top[:k], post[:k])
         run = np.maximum.accumulate(np.concatenate(([mx], vals)))
         rec = np.flatnonzero(vals > run[:-1])
-        times.extend(tk[rec // 2].tolist())
+        times.extend(te[rec // 2].tolist())
         heights.extend((vals[rec] - run[rec]).tolist())
-        if k < _EVENT_BLOCK:
-            break
         mx = run[-1]
     return times, heights
 
@@ -604,16 +575,16 @@ def extract_ladder(model, cfg: Optional[SimConfig] = None,
 
     Returns (elapsed real time since the previous record, height increment)
     pairs. Records are exact only on event-exact paths, where they fall at
-    jumps or at segment ends; a skeleton path would record at substep ends,
-    and its record count grows without limit as dt shrinks, so skeleton
-    models are refused before any sampler is built.
+    jumps or at segment ends; a Gaussian part sets new maxima continuously,
+    so such a path has no discrete ladder epochs, and skeleton models are
+    refused before any sampler is built.
     """
     base = model.model if isinstance(model, PreparedModel) else model
     if choose_engine(base) != "event-exact":
         raise ModelError(
             "ladder records need an event-exact model (no Gaussian part, "
-            "finite jump activity); a skeleton path records at substep "
-            "resolution")
+            "finite jump activity); a Gaussian part sets new maxima "
+            "continuously")
     p = prepare(model, cfg)
     if rng is None:
         rng = stream(p.cfg.seed, 0, 0)

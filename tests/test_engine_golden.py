@@ -119,7 +119,7 @@ CASES = {
     "skeleton-jumps-fixed": lambda: _fixed(JD, 2.0, LONG, n=100),
     "skeleton-jumps-coupled": lambda: _coupled(JD, LONG, n=20),
     "skeleton-jumps-coupled-short": lambda: _coupled(JD, SHORT, n=20),
-    # pure diffusion: blockwise passage, scalar skeleton elsewhere
+    # pure diffusion: one bridge to the horizon
     "diffusion-passage": lambda: _passage(BD, 2.0, LONG),
     "diffusion-passage-default": lambda: _passage(BD, 5.0, None, n=50),
     "diffusion-passage-short": lambda: _passage(BD, 4.0, SHORT),
@@ -142,15 +142,15 @@ def digest(arrays) -> str:
 
 GOLDEN = {
     "diffusion-coupled":
-        "9896b29d38454eec89a52e1bccb38f033c6be2b27aad7057fe620ca7b698a042",
+        "f5dc82939d425a894aa2dd17cf236c31c8050f022e0837c981ecebbbcef29f14",
     "diffusion-fixed":
-        "e4196cd4b0c44412d930dc528c6371e399d8205825466cf7bb4072f477da96ce",
+        "e80be910ff548df34455efc5cb0407f4832ea5518f675641cc89f54e23e2db40",
     "diffusion-passage":
-        "ec8d8a14cf7c5346be09466b0f823a2e03c3bd0f7a32d3a07aa8f2865d581990",
+        "b85cf00bc3ab824006901dd436d887629024a15796dc835504a90e95d4dc75fd",
     "diffusion-passage-default":
-        "621aca399a8f748e63995d47b6257133b6adf490acbbe4423a2c75d03916cd0f",
+        "cad5a5869a2cc67a140289e917d8d4c42cf35a086b3526625c7b9a3e7aaf3430",
     "diffusion-passage-short":
-        "fa7bbac3d7143c8c1a97d905c604bb08e38ffa500de9aab9e3d2e94d1ea575c4",
+        "ab8c5e5afc168d0a757a9821a7d98dbdc2c2faf376e9bf4a7dfc26dae8bcf232",
     "exact-cl-coupled":
         "ab3e06706dfe2f7fdb89c3e0330a937b3b313bc30146ae2ab91e8ab0c80f5c99",
     "exact-cl-fixed":
@@ -196,21 +196,21 @@ GOLDEN = {
     "lt-identity-dmp":
         "05cfea131229a2598d1a9dc5c9ecbca4d0c7b1878b6f177ca471e19483d69698",
     "lt-identity-skeleton":
-        "e834d2a747e7e9cc6628e2dd9a0237de869f9e6fe173e80c55c99f8d6ba1bcf5",
+        "3f2028e105bf321bf7d8ad18a97e4210988ad840a9edc44ce1d30987bb0dbded",
     "renewal-dmp":
         "8ca86b73e0b5ea85e8979b30c0e30686544a0ecd4ee4420fe84c1b5aba24ac03",
     "ruin-cl":
         "f0a7e531001b2b7349cf967b707fe232dbb7f5845ec2ee615e10e704ffcf154b",
     "skeleton-jumps-coupled":
-        "aacba1343650ea042507dafbb4c981064d19b809dbeea7b1377f2b9fbc153162",
+        "8a38477da99db74bce44b36ad76837ec12b3819b40d8344a15ea59fea6d04da2",
     "skeleton-jumps-coupled-short":
-        "848ea5bb7799b433496fe73e9086c332cca8c21d2141c76c6a6708e140385156",
+        "81a61cc22d7677fe778349c31e49da06335502a18f94c138342d022264c5235c",
     "skeleton-jumps-fixed":
-        "171713a2ea54b02aae8b03fabac3da476c501ff70c7b74351cd51c9a6b041571",
+        "84f4769f9488f7f859a95d5dbe9d91f913df4de9c98a76c60092f43b8be3b20a",
     "skeleton-jumps-passage":
-        "db3776204ed45fbd062cffc2d9b8667eac498a3f032ef2eb0ede8ea7b79eb8e0",
+        "c3fafebe42fe81fbc9ee8ec37c3f958f764c2f5e0fcaafb0352c6a46b703c916",
     "skeleton-jumps-passage-short":
-        "a7a029b1c1b51eb8b6b702f0b6d98ebc5d1cfd5ac7258779bf25ce0cdbc86dd3",
+        "1467668f8fb6aa1b4a9f2435769f1f982954b604734c629e1902d557a93104a8",
 }
 
 

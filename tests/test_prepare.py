@@ -17,7 +17,8 @@ from levy_passage.ladder import (Backend, LadderExponent, renewal_estimate,
                                  verify_lt_identity)
 from levy_passage.measures import JumpMeasure
 from levy_passage.models import (ModelError, brownian_drift, cramer_lundberg,
-                                 custom_model, drift_minus_poisson)
+                                 custom_model, drift_minus_poisson,
+                                 spectrally_negative)
 from levy_passage.rng import stream
 from levy_passage.simulate import (SimConfig, extract_ladder, prepare,
                                    ratio_path, ratio_paths, simulate_passage)
@@ -27,6 +28,7 @@ JD = custom_model(gamma=1.0, sigma2=1.0, pos_tail=EXP2, neg_tail=EXP2)
 # cramer-lundberg (1, 2, 1) written as tails, so the general tilt runs
 TAIL_CL = custom_model(gamma=-1.0 + (1.0 - 3.0 * math.exp(-2.0)) / 2.0,
                        sigma2=0.0, pos_tail=EXP2, neg_tail="0")
+SN = spectrally_negative(2.0, 1.0, 1.0)
 CFG = SimConfig(horizon=30.0, dt=0.05)
 
 
@@ -99,12 +101,21 @@ def test_ruin_grid_keys_level_i_as_seed_plus_i():
 
 
 def test_coupled_levels_match_single_passages():
-    # both consumers draw the bridge uniform of every substep, so on one
-    # stream they walk one path and agree bit for bit at every level
-    p = prepare(JD, SimConfig(horizon=8.0, dt=0.05))
+    # on an event-exact path every level is crossed at a jump or on a line,
+    # so one walk serves all levels bit for bit; on a bridge the crossing
+    # of one level draws the time and the fresh maximum that the next level
+    # reads, so there only a one-level walk replays the single passage
     levels = np.array([0.5, 1.5, 3.0, 6.0])
-    for r in range(10):
-        taus = ratio_path(p, levels, stream(21, 0, r))
-        for u, tau in zip(levels, taus):
+    for model in (drift_minus_poisson(2.0), SN):
+        p = prepare(model, SimConfig(horizon=8.0))
+        for r in range(10):
+            taus = ratio_path(p, levels, stream(21, 0, r))
+            for u, tau in zip(levels, taus):
+                rec = simulate_passage(p, float(u), stream(21, 0, r))
+                assert (rec.tau == tau) if rec.ruined else math.isnan(tau)
+    p = prepare(JD, SimConfig(horizon=8.0))
+    for u in levels:
+        for r in range(10):
+            tau = ratio_path(p, [u], stream(21, 0, r))[0]
             rec = simulate_passage(p, float(u), stream(21, 0, r))
             assert (rec.tau == tau) if rec.ruined else math.isnan(tau)

@@ -83,7 +83,7 @@ def test_sn_bv_creep_sets_exact_zeros():
 
 
 # ---------------------------------------------------------------------------
-# inverse Gaussian oracle (skeleton engine with bridge correction)
+# inverse Gaussian oracle (skeleton engine: one exact bridge per path)
 
 
 def test_brownian_passage_inverse_gaussian_moments():
@@ -93,7 +93,7 @@ def test_brownian_passage_inverse_gaussian_moments():
     assert np.all(batch.ruined)
     mean = float(np.mean(batch.tau))
     var = float(np.var(batch.tau, ddof=1))
-    # se(mean) ~ sqrt(5/n) ~ 0.016; allow discretization bias on top
+    # se(mean) ~ sqrt(5/n) ~ 0.016
     assert abs(mean - 5.0) < 0.08
     assert abs(var - 5.0) < 0.5
     assert np.all(batch.overshoot == 0.0)       # continuous crossing
@@ -101,8 +101,8 @@ def test_brownian_passage_inverse_gaussian_moments():
 
 
 def test_bridge_correction_removes_most_discretization_bias():
-    # the bridge maximum keeps the mean hitting time at a coarse dt near
-    # its closed form u/drift, without the O(sqrt(dt)) upward bias
+    # the skeleton samples its bridges exactly and reads no dt, so a coarse
+    # dt leaves the mean hitting time at its closed form u/drift
     u, n = 2.0, 4000
     fixed = passage_sample(BD, u, n, seed=8, cfg=SimConfig(dt=0.05))
     assert abs(np.mean(fixed.tau) - 2.0) < 3.5 * math.sqrt(2.0 / n) + 0.05
