@@ -238,13 +238,18 @@ def truncated_quadratic_variation(model: LevyModel, x: float) -> float:
 
 
 def small_jump_variance(model: LevyModel, eps: float) -> float:
-    """int_{|y| <= eps} y^2 Pi(dy) = 2 int_0^eps y Tbar(y) dy - eps^2 Tbar(eps)."""
+    """int_{|y| <= eps} y^2 Pi(dy) = 2 int_0^eps y (Tbar(y) - Tbar(eps)) dy.
+
+    The integrand counts only the mass below eps, so no two large terms
+    cancel, as they would in 2 int_0^eps y Tbar(y) dy - eps^2 Tbar(eps).
+    """
     m = model.measure
     tbar = lambda y: m.pos_tail(y) + m.neg_tail(y)
     if m.pos_support == 0.0 and m.neg_support == 0.0:
         return 0.0
-    integral = integrate_tail_to_zero(lambda y: y * tbar(y), eps, m.breakpoints)
-    return 2.0 * integral - eps * eps * tbar(eps)
+    edge = tbar(eps)
+    return 2.0 * integrate_tail_to_zero(lambda y: y * (tbar(y) - edge), eps,
+                                        m.breakpoints)
 
 
 def cumulant(model: LevyModel, nu: float) -> float:

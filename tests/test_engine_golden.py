@@ -202,15 +202,15 @@ GOLDEN = {
     "ruin-cl":
         "f0a7e531001b2b7349cf967b707fe232dbb7f5845ec2ee615e10e704ffcf154b",
     "skeleton-jumps-coupled":
-        "8a38477da99db74bce44b36ad76837ec12b3819b40d8344a15ea59fea6d04da2",
+        "2d12d2d715cdc25a21d49be337b675421494a9bb856ac60e239694df1b5fae4b",
     "skeleton-jumps-coupled-short":
-        "81a61cc22d7677fe778349c31e49da06335502a18f94c138342d022264c5235c",
+        "a383137838fdbd738b962f7c89594c8d5986659589c7c775591e7d152ef35a61",
     "skeleton-jumps-fixed":
-        "84f4769f9488f7f859a95d5dbe9d91f913df4de9c98a76c60092f43b8be3b20a",
+        "322cafaec048be8886902b7aa45a0eeeca5834495c96e2549d459612156c8d73",
     "skeleton-jumps-passage":
-        "c3fafebe42fe81fbc9ee8ec37c3f958f764c2f5e0fcaafb0352c6a46b703c916",
+        "8d604b13d49c1bc305ef9495c98e86bdb67f105258c58f79117ee744b30b0398",
     "skeleton-jumps-passage-short":
-        "1467668f8fb6aa1b4a9f2435769f1f982954b604734c629e1902d557a93104a8",
+        "d3a8592df5c5c08e0daed7adf3e09f84154672e99c130c4eb748779687e77668",
 }
 
 

@@ -143,17 +143,15 @@ def test_phi_matches_brentq(a):
 # ---------------------------------------------------------------------------
 # small-jump variances, the tilted tail, the kinked truncated mean
 
-# small_jump_variance is 2 int_0^eps y Tbar(y) dy - eps^2 Tbar(eps): the two
-# terms cancel to about a thousandth of eps^2 Tbar(eps) at eps = 1e-3, so
-# its error is measured on the size of the terms
+# the reference integrates y^2 against the jump density itself, which no
+# cancellation touches, and the value must match it to RTOL of itself
 
 
 def test_small_jump_variance_matches_quad():
     eps = 1e-3
     ref = 2.0 * quad(lambda y: y * y * 2.0 * math.exp(-2.0 * y), 0.0, eps,
                      **_QUAD)[0]
-    _close(small_jump_variance(SKELETON, eps), ref,
-           scale=eps * eps * 2.0 * SKELETON.measure.pos_tail(eps))
+    _close(small_jump_variance(SKELETON, eps), ref)
 
 
 def _ref_tilted_tail(x, nu0=1.0):
