@@ -279,7 +279,7 @@ def _event_blocks(p: PreparedModel, rng, horizon: float):
 def _bridge_max(x0, x1, var, logu):
     """Exact maximum of a Brownian bridge from x0 to x1 with variance var.
 
-    With q = -2 var log U, the maximum is the larger root of
+    With q = -var log U, the maximum is the larger root of
     (m - x0)(m - x1) = q/2, always at least max(x0, x1).
     """
     q = -var * logu
@@ -465,8 +465,9 @@ def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
                     nxt += 1
                     if p.sigma2 > 0.0:
                         t0, a = tau, u
-                        vals[j] = _bridge_max(u, pre[k], p.sigma2 * (te[k] - tau),
-                                              math.log(rng.random()))
+                        vals[j] = _bridge_max(
+                            u, pre[k], p.sigma2 * (te[k] - tau),
+                            math.log(rng.random()))
             mx = max(mx, float(vals[j]))
             i = j + 1
         if nxt == len(levels):
