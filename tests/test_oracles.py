@@ -10,7 +10,9 @@ against it with the oracle's own variance:
 * a spectrally negative model with a Gaussian part and Exp downward jumps:
   E e^{-q tau_u} = e^{-Phi(q) u};
 * Brownian motion with drift along one coupled path: tau_u is inverse
-  Gaussian IG(u/mu, u^2/sigma^2) at every level.
+  Gaussian IG(u/mu, u^2/sigma^2) at every level;
+* Brownian motion without drift on [0, 1]: the time of its maximum is
+  arcsine distributed (Levy), and the maximum is distributed as |B_1|.
 
 The path invariants (G <= tau, overshoot >= 0, 0 <= undershoot <= u, tau
 monotone in the level) hold record for record.
@@ -24,7 +26,8 @@ import pytest
 from levy_passage.ladder import _phi
 from levy_passage.measures import ExponentialJump, compound_measure
 from levy_passage.models import Family, LevyModel, brownian_drift
-from levy_passage.simulate import SimConfig, passage_sample, ratio_paths
+from levy_passage.simulate import (SimConfig, fixed_time_sample,
+                                   passage_sample, ratio_paths)
 
 N = 4000
 Z_MAX = 3.0
@@ -151,3 +154,20 @@ def test_brownian_coupled_levels_are_inverse_gaussian(bd_taus, level):
     assert abs(z_mean) <= Z_MAX, z_mean
     assert abs(z_lt) <= Z_MAX, z_lt
 
+
+
+# ---------------------------------------------------------------------------
+# driftless Brownian motion on [0, 1]: arcsine time of the maximum
+
+
+def test_brownian_time_of_maximum_is_arcsine():
+    x, mx, g = fixed_time_sample(brownian_drift(0.0, 1.0), 1.0, N, seed=1939)
+    assert np.all((g >= 0.0) & (g <= 1.0)) and np.all(mx >= np.maximum(x, 0))
+    # P(G <= s) = (2/pi) arcsin(sqrt(s)); E G = 1/2, E G^2 = 3/8
+    quarter = 2.0 / math.pi * math.asin(0.5)
+    z_cdf = _z((g <= 0.25).astype(float), quarter, quarter)
+    z_mean = _z(g, 0.5, 0.375)
+    # the maximum is |B_1|: E M = sqrt(2/pi), E M^2 = 1
+    z_max = _z(mx, math.sqrt(2.0 / math.pi), 1.0)
+    for z in (z_cdf, z_mean, z_max):
+        assert abs(z) <= Z_MAX, (z_cdf, z_mean, z_max)
