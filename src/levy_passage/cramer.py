@@ -27,8 +27,8 @@ from .models import (Family, LevyModel, ModelError, cumulant,
                      compound_poisson_drift, cramer_lundberg)
 from .quadrature import (brent_root, float_or_array, integrate_tail_to_zero,
                          integrate_tails, tail_values)
-from .rng import stream
-from .simulate import SimConfig, passage_sample, prepare
+from .simulate import SimConfig, _check_levels, fixed_time_sample, \
+    passage_sample, prepare
 
 __all__ = [
     "TiltedModel",
@@ -364,8 +364,6 @@ def direct_ruin(model: LevyModel, cfg: Optional[SimConfig], u: float, n: int,
     Biased low by ruin after the horizon; use only where the horizon
     dwarfs the ruin time scale, as a cross-check of the tilted estimator.
     """
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
     batch = passage_sample(model, u, n, seed=seed, cfg=cfg)
     p = batch.n_ruined / n
     se = math.sqrt(p * (1.0 - p) / n)
@@ -407,11 +405,7 @@ def conditional_stability_experiment(model: LevyModel,
     if model.measure.is_lattice:
         raise ModelError(
             "conditional ratio limits need a non-lattice jump law")
-    u_grid = np.asarray(u_grid, dtype=float)
-    if len(u_grid) == 0 or np.any(u_grid <= 0.0):
-        raise ValueError("u_grid must be nonempty and positive")
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
+    u_grid = _check_levels(u_grid)
     tilt = esscher_tilt(model, solve_lundberg(model))
     if not tilt.mu_star_finite:
         raise ModelError(
@@ -450,20 +444,17 @@ def tilt_identity_check(model: LevyModel, t: float, n: int = 100_000,
     """Two-estimator check of the fixed-time measure-change identity.
 
     Compares E f(X_t) sampled directly with E*[f(X*_t) exp(-nu0 X*_t)]
-    sampled under the tilt. The weight is bounded on the tilted side
-    because X*_t has a right tail there, so both estimators have finite
-    variance for bounded f.
+    sampled under the tilt. Both sides draw X_t from the path generator,
+    the direct side on level 1 of seed's streams and the tilted side on
+    level 2, so the check runs on every model with a Cramer root, the
+    general tilt of tail-expression models included. The weight is bounded
+    on the tilted side because X*_t has a right tail there, so both
+    estimators have finite variance for bounded f.
     """
     if tilt is None:
         tilt = esscher_tilt(model, solve_lundberg(model))
-    if model.hooks.increment_sampler is None or \
-            tilt.tilted.hooks.increment_sampler is None:
-        raise ModelError("fixed-time identity check needs exact increment "
-                         "samplers on both sides")
-    rng_a = stream(seed, 1, 0)
-    rng_b = stream(seed, 2, 0)
-    x_dir = model.hooks.increment_sampler(rng_a, t, n)
-    x_til = tilt.tilted.hooks.increment_sampler(rng_b, t, n)
+    x_dir = fixed_time_sample(model, t, n, seed, 1)[0]
+    x_til = fixed_time_sample(tilt.tilted, t, n, seed, 2)[0]
     wt = np.exp(-tilt.nu0 * x_til)
     out = []
     for name, f in _TEST_FUNCTIONS:

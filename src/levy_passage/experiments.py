@@ -16,8 +16,8 @@ import numpy as np
 
 from .models import (LevyModel, ModelError, Regime, StabilityVerdict,
                      classify_stability)
-from .simulate import SimConfig, cutoff_for_rate, fixed_time_sample, \
-    passage_sample, prepare, ratio_paths
+from .simulate import SimConfig, _check_levels, cutoff_for_rate, \
+    fixed_time_sample, passage_sample, prepare, ratio_paths
 
 __all__ = [
     "RunningStat",
@@ -228,18 +228,6 @@ def _infer_regime(u_grid: np.ndarray, small: Regime, large: Regime) -> Regime:
     return small if gm < 1.0 else large
 
 
-def _check_grid(u_grid) -> np.ndarray:
-    u_grid = np.asarray(u_grid, dtype=float)
-    if len(u_grid) == 0:
-        raise ValueError("u_grid must be nonempty")
-    d = np.diff(u_grid)
-    if not (np.all(d > 0.0) or np.all(d < 0.0)):
-        raise ValueError("u_grid must be strictly monotone")
-    if not np.all(np.isfinite(u_grid) & (u_grid > 0.0)):
-        raise ValueError("u_grid entries must be finite and positive")
-    return u_grid
-
-
 def _check_preconditions(model: LevyModel, regime: Regime) -> None:
     h = model.hooks
     if not regime.small_time:
@@ -282,12 +270,9 @@ def _ratio_report(kind, model, cfg, u_grid, n, rho_list, seed, regime):
     """Per-level means of G/u for kind "g", else of tau/u, against the
     classifier limit; "mean-exit" infers a mean regime, the others a
     probability regime."""
-    u_grid = _check_grid(u_grid)
+    u_grid = _check_levels(u_grid)
     if n < 100:
         raise ValueError("ratio experiments need n >= 100")
-    cfg = cfg or SimConfig()
-    if seed is None:
-        seed = cfg.seed
     if regime is None:
         regime = _infer_regime(u_grid, Regime.MEAN_SMALL, Regime.MEAN_LARGE) \
             if kind == "mean-exit" else \
@@ -351,8 +336,6 @@ def overshoot_law_experiment(model: LevyModel, cfg: Optional[SimConfig],
             "models; use a spread-out jump law")
     if n < 100:
         raise ValueError("ratio experiments need n >= 100")
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
     batch = passage_sample(model, float(u), n, seed=seed, cfg=cfg)
     result = ExperimentResult.from_batch(batch, rho_list)
     _check_censoring(model, [result])
@@ -398,7 +381,7 @@ def as_stability_experiment(model: LevyModel, cfg: Optional[SimConfig],
     sit within the band around the expected limit. The overall verdict
     needs at least min_fraction of paths to pass.
     """
-    levels = _check_grid(levels)
+    levels = _check_levels(levels)
     if not 1 <= tail_window <= len(levels):
         raise ValueError(f"tail_window: must be from 1 to the number of "
                          f"levels ({len(levels)}), got {tail_window!r}")
@@ -409,8 +392,6 @@ def as_stability_experiment(model: LevyModel, cfg: Optional[SimConfig],
                          f"{min_fraction!r}")
     if np.any(np.diff(levels) < 0.0):
         levels = levels[::-1].copy()
-    cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
     if regime is None:
         regime = _infer_regime(levels, Regime.AS_SMALL, Regime.AS_LARGE)
     _check_preconditions(model, regime)
@@ -470,7 +451,6 @@ def appendix_demo(model: LevyModel, times, n: int,
     point so each path sees a bounded number of resolved jumps.
     """
     cfg = cfg or SimConfig()
-    seed = cfg.seed if seed is None else seed
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0.0):
         raise ValueError("time points must be positive")

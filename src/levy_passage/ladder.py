@@ -32,9 +32,8 @@ from .cramer import solve_lundberg
 from .models import (Family, LevyModel, ModelError, cumulant,
                      drift_minus_poisson, process_mean)
 from .quadrature import brent_root
-from .rng import stream
-from .simulate import (SimConfig, choose_engine, extract_ladder, prepare,
-                       simulate_passage)
+from .simulate import (SimConfig, _check_levels, _replicate, choose_engine,
+                       extract_ladder, prepare, simulate_passage)
 
 __all__ = [
     "Backend",
@@ -197,19 +196,20 @@ def verify_lt_identity(model: LevyModel, kappa: LadderExponent, mu: float,
     if mu + lam == rho:
         raise ValueError("the identity needs mu + lam != rho")
     prepared = prepare(model, cfg)
-    seed = prepared.cfg.seed if seed is None else seed
-    vals = np.zeros(n)
     inv_mu = 1.0 / mu
-    for r in range(n):
-        rng = stream(seed, 0, r)
+    tiny = np.nextafter(0.0, 1.0)
+
+    def one(rng):
         u = rng.exponential(inv_mu)
-        if u <= 0.0:
-            u = np.nextafter(0.0, 1.0)
-        rec = simulate_passage(prepared, u, rng)
-        if rec.ruined:
-            ex = (-rho * rec.overshoot - lam * rec.undershoot
-                  - nu * rec.g_last_max - theta * (rec.tau - rec.g_last_max))
-            vals[r] = math.exp(ex) * inv_mu
+        rec = simulate_passage(prepared, u if u > 0.0 else tiny, rng)
+        if not rec.ruined:
+            return 0.0
+        ex = (-rho * rec.overshoot - lam * rec.undershoot
+              - nu * rec.g_last_max - theta * (rec.tau - rec.g_last_max))
+        return math.exp(ex) * inv_mu
+
+    seed, vals = _replicate(prepared, one, n, seed, 0)
+    vals = np.array(vals, dtype=float)
     lhs = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n))
     rhs = (kappa(theta, mu + lam) - kappa(theta, rho)) \
@@ -316,43 +316,35 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
         raise ModelError(
             "the renewal estimate needs a model that either creeps up or "
             "jumps up, not both: its record epochs mix the two")
-    u_grid = np.asarray(u_grid, dtype=float)
-    if len(u_grid) == 0 or np.any(u_grid <= 0.0) or \
-            np.any(np.diff(u_grid) <= 0.0):
-        raise ValueError("u_grid must be nonempty, positive, increasing")
+    u_grid = _check_levels(u_grid, increasing=True)
     prepared = prepare(model, cfg)
-    seed = prepared.cfg.seed if seed is None else seed
     d = model.drift_bv() if creep else math.nan
 
-    per_path = np.empty((n_paths, len(u_grid)))
-    tot_t = np.empty(n_paths)
-    tot_l = np.empty(n_paths)
-    tot_h = np.empty(n_paths)
-    short = 0
-    for r in range(n_paths):
-        epochs = extract_ladder(prepared, rng=stream(seed, 0, r))
+    def one(rng):
+        """One walk as (local time below each level, total time, total
+        local time, total height)."""
+        epochs = extract_ladder(prepared, rng=rng)
         if not epochs:
             raise ModelError("no ladder epochs observed before the horizon")
         arr = np.asarray(epochs)
         dts, dhs = arr[:, 0], arr[:, 1]
         cum = np.cumsum(dhs)
-        if cum[-1] <= u_grid[-1]:
-            short += 1
         if creep:
             # local time below u: full climbs below plus the partial climb
             below = np.minimum(cum[:, None], u_grid[None, :])
             prev = np.concatenate(([0.0], cum[:-1]))
             seg = np.clip(below - prev[:, None], 0.0, None)
-            per_path[r] = seg.sum(axis=0) / d
-            tot_l[r] = cum[-1] / d
-        else:
-            # records happen only at jumps: epochs starting at or below u,
-            # the crossing epoch included, number the records up to tau_u
-            starts = np.concatenate(([0.0], cum[:-1]))
-            per_path[r] = (starts[:, None] <= u_grid[None, :]).sum(axis=0)
-            tot_l[r] = len(dts)
-        tot_t[r] = dts.sum()
-        tot_h[r] = cum[-1]
+            return seg.sum(axis=0) / d, dts.sum(), cum[-1] / d, cum[-1]
+        # records happen only at jumps: epochs starting at or below u, the
+        # crossing epoch included, number the records up to tau_u
+        starts = np.concatenate(([0.0], cum[:-1]))
+        return ((starts[:, None] <= u_grid[None, :]).sum(axis=0), dts.sum(),
+                len(dts), cum[-1])
+
+    walks = _replicate(prepared, one, n_paths, seed, 0)[1]
+    per_path, tot_t, tot_l, tot_h = (
+        np.array(c, dtype=float) for c in zip(*walks))
+    short = int(np.sum(tot_h <= u_grid[-1]))
     if short > 0.01 * n_paths:
         raise ModelError(
             f"{short}/{n_paths} ladder walks ended below the top grid "

@@ -34,7 +34,8 @@ from .measures import (
     tail_table_inverse,
 )
 from .quadrature import (brent_root, float_or_array, integrate_tail,
-                         integrate_tail_to_inf, integrate_tail_to_zero)
+                         integrate_tail_to_inf, integrate_tail_to_zero,
+                         tail_values)
 from .tail_expr import parse_tail_expr
 
 __all__ = [
@@ -101,12 +102,10 @@ class ModelHooks:
     """Closed-form shortcuts a family can provide; all optional."""
 
     mean: Optional[float] = None              # E X_1, may be +-inf
-    abs_mean_finite: Optional[bool] = None
     is_bv: Optional[bool] = None              # bounded variation paths
     drift_bv: Optional[float] = None          # pathwise drift d when BV
     cumulant: Optional[Callable[[float], float]] = None
     cumulant_prime: Optional[Callable[[float], float]] = None
-    increment_sampler: Optional[Callable] = None   # (rng, t, n) -> X_t draws
     ladder_height_drift: Optional[float] = None    # d_H, occupation norm
     ladder_time_drift: Optional[float] = None      # drift of inverse local time
     ladder_time_mean: Optional[float] = None       # E L^{-1}_1, occupation norm
@@ -279,7 +278,12 @@ def _cumulant_quadrature(model: LevyModel, nu: float) -> float:
                             (-1.0, m.neg_tail, m.neg_support)):
         if sup <= 1.0:
             continue
-        g = (lambda t: (lambda y: np.exp(sign * nu * y) * t(y)))(tail)
+
+        def g(y, t=tail, rate=sign * nu):
+            # a tail that underflowed to 0 adds 0 even where e^{rate y}
+            # overflows; an overflow against a positive tail reads as inf
+            v = tail_values(t, y)
+            return np.where(v == 0.0, 0.0, np.exp(rate * y) * v)
         if math.isfinite(sup):
             piece = integrate_tail(g, 1.0, sup, bp)
         else:
@@ -329,10 +333,7 @@ def process_mean(model: LevyModel) -> float:
 
 
 def abs_mean_is_finite(model: LevyModel) -> bool:
-    if model.hooks.abs_mean_finite is not None:
-        return model.hooks.abs_mean_finite
-    mean = process_mean(model)
-    return math.isfinite(mean)
+    return math.isfinite(process_mean(model))
 
 
 def _bv_heuristic(measure: JumpMeasure) -> Optional[bool]:
@@ -433,12 +434,10 @@ def brownian_drift(drift: float, sigma2: float) -> LevyModel:
     """Brownian motion with drift; sigma2 = 0 gives a pure drift line."""
     hooks = ModelHooks(
         mean=drift,
-        abs_mean_finite=True,
         is_bv=(sigma2 == 0.0),
         drift_bv=drift if sigma2 == 0.0 else None,
         cumulant=lambda nu: drift * nu + 0.5 * sigma2 * nu * nu,
         cumulant_prime=lambda nu: drift + sigma2 * nu,
-        increment_sampler=lambda rng, t, n: drift * t + math.sqrt(sigma2 * t) * rng.standard_normal(n),
         drifts_to=(1 if drift > 0 else (-1 if drift < 0 else 0)),
         regular_upward=(sigma2 > 0.0 or drift > 0.0),
     )
@@ -470,28 +469,12 @@ def compound_poisson_drift(rate: float, law: JumpLaw, drift: float,
             return math.inf
         return _drift + _rate * m
 
-    def increments(rng, t, n, _rate=rate, _drift=drift, _law=law):
-        out = np.full(n, _drift * t)
-        if _rate:
-            counts = rng.poisson(_rate * t, size=n)
-            total = int(counts.sum())
-            if total:
-                sizes = _law.sample(rng, total)
-                starts = np.r_[0, np.cumsum(counts)[:-1]]
-                # reduceat cannot take an index == len(sizes); clip and zero
-                sums = np.add.reduceat(sizes, np.minimum(starts, total - 1))
-                sums[counts == 0] = 0.0
-                out += sums
-        return out
-
     hooks = ModelHooks(
         mean=mean,
-        abs_mean_finite=math.isfinite(mean),
         is_bv=True,
         drift_bv=drift,
         cumulant=psi,
         cumulant_prime=psi_prime,
-        increment_sampler=increments,
         drifts_to=(1 if mean > 0 else (-1 if mean < 0 else 0)),
         regular_upward=(drift > 0.0),
     )
@@ -594,7 +577,6 @@ def make_counterexample1() -> LevyModel:
     )
     hooks = ModelHooks(
         mean=-2.0,
-        abs_mean_finite=True,
         is_bv=False,
         drifts_to=-1,
         regular_upward=True,
@@ -694,7 +676,7 @@ def make_counterexample2(beta: float, limit_point: str = "zero") -> LevyModel:
             total_rate=math.inf,
             description="slowly varying heavy small-jump tails",
         )
-        hooks = ModelHooks(mean=0.0, abs_mean_finite=True, is_bv=False,
+        hooks = ModelHooks(mean=0.0, is_bv=False,
                            drifts_to=0, regular_upward=True)
         return LevyModel(0.0, 0.0, measure, Family.COUNTEREXAMPLE_2,
                          {"beta": beta, "limit_point": "zero"}, hooks)
@@ -704,7 +686,6 @@ def make_counterexample2(beta: float, limit_point: str = "zero") -> LevyModel:
                                    "heavy two-sided steps, negative dominant")
         hooks = ModelHooks(
             mean=math.nan,
-            abs_mean_finite=False,
             is_bv=True,
             drift_bv=0.0,
             drifts_to=None,

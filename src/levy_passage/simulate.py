@@ -496,6 +496,34 @@ def _ladder_records(p: PreparedModel, rng) -> tuple:
 # public entry points; model may be a LevyModel or a PreparedModel
 
 
+def _replicate(p: PreparedModel, one: Callable, n: int,
+               seed: Optional[int], level_index: int) -> tuple:
+    """(seed, [one(rng) for each replication]) for a batch of n.
+
+    Replication r of level level_index reads stream (seed, level_index, r),
+    so a batch replays bitwise whatever its size or split. A seed of None
+    means the prepared config's seed; the seed used comes back with the
+    values.
+    """
+    seed = p.cfg.seed if seed is None else seed
+    return seed, [one(stream(seed, level_index, r)) for r in range(n)]
+
+
+def _check_levels(levels, increasing: bool = False) -> np.ndarray:
+    """levels as a float array, refused unless nonempty, finite, positive
+    and strictly monotone (strictly increasing when increasing is set)."""
+    levels = np.asarray(levels, dtype=float)
+    if len(levels) == 0:
+        raise ValueError("levels must be nonempty")
+    if not np.all(np.isfinite(levels) & (levels > 0.0)):
+        raise ValueError("levels must be finite and positive")
+    d = np.diff(levels)
+    if not (np.all(d > 0.0) or (not increasing and np.all(d < 0.0))):
+        raise ValueError("levels must be strictly "
+                         + ("increasing" if increasing else "monotone"))
+    return levels
+
+
 def simulate_passage(model, u: float, rng: np.random.Generator,
                      cfg: Optional[SimConfig] = None) -> PassageRecord:
     """One passage attempt over level u > 0 with the natural engine."""
@@ -511,9 +539,8 @@ def passage_sample(model, u: float, n: int,
     if not u > 0.0:
         raise ValueError("level u must be positive")
     p = prepare(model, cfg)
-    seed = p.cfg.seed if seed is None else seed
-    recs = [_first_passage(p, u, stream(seed, level_index, r))
-            for r in range(n)]
+    seed, recs = _replicate(p, lambda rng: _first_passage(p, u, rng), n,
+                            seed, level_index)
     tau, x_at, ov, us, gl, ruined = np.array(
         [(r.tau, r.x_at_tau, r.overshoot, r.undershoot, r.g_last_max,
           r.ruined) for r in recs], dtype=float).reshape(n, 6).T.copy()
@@ -532,10 +559,9 @@ def fixed_time_sample(model, t: float, n: int,
                       cfg: Optional[SimConfig] = None):
     """Arrays (X_t, running max, last max time) over n replications."""
     p = prepare(model, cfg)
-    seed = p.cfg.seed if seed is None else seed
-    xs, ms, gs = np.array([_fixed_time(p, t, stream(seed, level_index, r))
-                           for r in range(n)],
-                          dtype=float).reshape(n, 3).T.copy()
+    _, rows = _replicate(p, lambda rng: _fixed_time(p, t, rng), n, seed,
+                         level_index)
+    xs, ms, gs = np.array(rows, dtype=float).reshape(n, 3).T.copy()
     return xs, ms, gs
 
 
@@ -543,16 +569,12 @@ def ratio_path(model, levels, rng: np.random.Generator,
                cfg: Optional[SimConfig] = None, with_max: bool = False):
     """Passage times over every level along one shared path.
 
-    Levels must be sorted strictly increasing and positive; times are nan
-    once the path was censored at the horizon before reaching a level.
-    With with_max=True also returns the running maximum just before each
-    crossing, which is nondecreasing in the level along the path.
+    Levels must be finite, positive and sorted strictly increasing; times
+    are nan once the path was censored at the horizon before reaching a
+    level. With with_max=True also returns the running maximum just before
+    each crossing, which is nondecreasing in the level along the path.
     """
-    levels = np.asarray(levels, dtype=float)
-    if len(levels) == 0 or levels[0] <= 0.0:
-        raise ValueError("levels must be positive")
-    if np.any(np.diff(levels) <= 0.0):
-        raise ValueError("levels must be strictly increasing")
+    levels = _check_levels(levels, increasing=True)
     taus, maxima = _coupled_levels(prepare(model, cfg), levels, rng)
     return (taus, maxima) if with_max else taus
 
@@ -562,12 +584,10 @@ def ratio_paths(model, levels, n: int, seed: Optional[int] = None,
                 cfg: Optional[SimConfig] = None) -> np.ndarray:
     """Matrix of passage times, one coupled path per row."""
     p = prepare(model, cfg)
-    seed = p.cfg.seed if seed is None else seed
-    levels = np.asarray(levels, dtype=float)
-    out = np.empty((n, len(levels)))
-    for r in range(n):
-        out[r] = ratio_path(p, levels, stream(seed, level_index, r))
-    return out
+    levels = _check_levels(levels, increasing=True)
+    _, rows = _replicate(p, lambda rng: _coupled_levels(p, levels, rng)[0],
+                         n, seed, level_index)
+    return np.array(rows, dtype=float).reshape(n, len(levels))
 
 
 def extract_ladder(model, cfg: Optional[SimConfig] = None,

@@ -196,12 +196,44 @@ def test_passage_time_monotone_in_level_along_one_path():
         assert np.all(np.diff(mok) >= -1e-12)
 
 
-def test_ratio_paths_matrix_matches_single_paths():
-    levels = np.array([0.5, 1.0, 2.0])
-    mat = ratio_paths(DMP, levels, 5, seed=11)
-    for r in range(5):
-        row = ratio_path(DMP, levels, stream(11, 0, r))
-        assert np.array_equal(mat[r], row)
+def _passage_rows(b):
+    return np.column_stack([b.tau, b.ruined, b.x_at_tau, b.overshoot,
+                            b.undershoot, b.g_last_max])
+
+
+def _record_row(rec):
+    return [rec.tau, rec.ruined, rec.x_at_tau, rec.overshoot,
+            rec.undershoot, rec.g_last_max]
+
+
+_LEVELS = np.array([0.5, 1.0, 2.0])
+# (batch of n at level index 3 as a matrix, one path as its row)
+_TWINS = {
+    "passage": (
+        lambda m, n: _passage_rows(passage_sample(m, 1.5, n, seed=11,
+                                                  level_index=3)),
+        lambda m, rng: _record_row(simulate_passage(m, 1.5, rng))),
+    "fixed-time": (
+        lambda m, n: np.column_stack(fixed_time_sample(m, 2.0, n, seed=11,
+                                                       level_index=3)),
+        lambda m, rng: sample_at_time(m, 2.0, rng)),
+    "coupled": (
+        lambda m, n: ratio_paths(m, _LEVELS, n, seed=11, level_index=3),
+        lambda m, rng: ratio_path(m, _LEVELS, rng)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TWINS))
+def test_batch_rows_match_single_path_twins(kind):
+    # row r of a batch is the single path on stream (seed, level index, r),
+    # bit for bit, censored (nan) entries included
+    batch, single = _TWINS[kind]
+    for model in (DMP, BD):
+        mat = batch(model, 5)
+        assert mat.shape[0] == 5
+        for r in range(5):
+            row = np.asarray(single(model, stream(11, 3, r)), dtype=float)
+            assert np.array_equal(mat[r], row, equal_nan=True), (model, r)
 
 
 def test_ratio_path_rejects_bad_levels():
