@@ -17,6 +17,7 @@ from .models import (LevyModel, Regime, brownian_drift,
                      compound_poisson_drift, cramer_lundberg, custom_model,
                      drift_minus_poisson, make_counterexample1,
                      make_counterexample2, spectrally_negative)
+from .rng import _check_seed
 from .simulate import SimConfig
 from .tail_expr import parse_tail_expr
 
@@ -82,7 +83,8 @@ _NUMBER = ((int, float), "a number")
 # accepted JSON types and their name in messages, per kind; a kind is also
 # the function that turns the checked value into the field's value
 _KINDS = {float: _NUMBER, _finite: ((int, float), "a finite number"),
-          _support: _NUMBER, int: (int, "an integer"), str: (str, "a string"),
+          _support: _NUMBER, int: (int, "an integer"),
+          _check_seed: (int, "an integer"), str: (str, "a string"),
           parse_tail_expr: (str, "a string"), dict: (dict, "an object"),
           list: (list, "an array")}
 
@@ -185,9 +187,9 @@ def sim_from_config(cfg: dict) -> SimConfig:
     base = SimConfig()
     fields = {k: _get(d, k, float, "sim", default=getattr(base, k))
               for k in _SIM_KEYS}
+    seed = _get(cfg, "seed", _check_seed, "config", default=base.seed)
     try:
-        return SimConfig(seed=_get(cfg, "seed", int, "config",
-                                   default=base.seed), **fields)
+        return SimConfig(seed=seed, **fields)
     except ValueError as exc:
         raise ConfigError(f"sim.{exc}")
 

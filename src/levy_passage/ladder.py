@@ -32,8 +32,9 @@ from .cramer import solve_lundberg
 from .models import (Family, LevyModel, ModelError, cumulant,
                      drift_minus_poisson, process_mean)
 from .quadrature import brent_root
-from .simulate import (SimConfig, _check_levels, _replicate, choose_engine,
-                       extract_ladder, prepare, simulate_passage)
+from .simulate import (_TINY, SimConfig, _check_levels, _ladder_batch,
+                       _passages, _replicate, _rows, choose_engine, prepare,
+                       simulate_passage)
 
 __all__ = [
     "Backend",
@@ -197,19 +198,27 @@ def verify_lt_identity(model: LevyModel, kappa: LadderExponent, mu: float,
         raise ValueError("the identity needs mu + lam != rho")
     prepared = prepare(model, cfg)
     inv_mu = 1.0 / mu
-    tiny = np.nextafter(0.0, 1.0)
 
-    def one(rng):
-        u = rng.exponential(inv_mu)
-        rec = simulate_passage(prepared, u if u > 0.0 else tiny, rng)
-        if not rec.ruined:
-            return 0.0
-        ex = (-rho * rec.overshoot - lam * rec.undershoot
-              - nu * rec.g_last_max - theta * (rec.tau - rec.g_last_max))
-        return math.exp(ex) * inv_mu
+    if prepared.sigma2 == 0.0:
+        # each row draws its level first, then walks its path
+        seed, rows = _rows(prepared, n, seed, 0)
+        levels = np.empty(n)
+        tau, ruined, _, over, under, g = _passages(prepared, rows, n, levels,
+                                                   (inv_mu, levels))
+    else:
+        def one(rng):
+            u = rng.exponential(inv_mu)
+            rec = simulate_passage(prepared, u if u > 0.0 else _TINY, rng)
+            return (rec.tau, rec.ruined, rec.overshoot, rec.undershoot,
+                    rec.g_last_max)
 
-    seed, vals = _replicate(prepared, one, n, seed, 0)
-    vals = np.array(vals, dtype=float)
+        seed, recs = _replicate(prepared, one, n, seed, 0)
+        tau, ruined, over, under, g = np.array(
+            recs, dtype=float).reshape(n, 5).T
+    # the exponent takes only exact float arithmetic; exp is libm's
+    ex = -rho * over - lam * under - nu * g - theta * (tau - g)
+    vals = np.where(ruined > 0.0,
+                    np.fromiter(map(math.exp, ex), float, n) * inv_mu, 0.0)
     lhs = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n))
     rhs = (kappa(theta, mu + lam) - kappa(theta, rho)) \
@@ -320,14 +329,12 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
     prepared = prepare(model, cfg)
     d = model.drift_bv() if creep else math.nan
 
-    def one(rng):
-        """One walk as (local time below each level, total time, total
+    def one(dts, dhs):
+        """One walk, from the times between its records and their height
+        increments, as (local time below each level, total time, total
         local time, total height)."""
-        epochs = extract_ladder(prepared, rng=rng)
-        if not epochs:
+        if not len(dts):
             raise ModelError("no ladder epochs observed before the horizon")
-        arr = np.asarray(epochs)
-        dts, dhs = arr[:, 0], arr[:, 1]
         cum = np.cumsum(dhs)
         if creep:
             # local time below u: full climbs below plus the partial climb
@@ -341,7 +348,7 @@ def renewal_estimate(model: LevyModel, cfg: Optional[SimConfig],
         return ((starts[:, None] <= u_grid[None, :]).sum(axis=0), dts.sum(),
                 len(dts), cum[-1])
 
-    walks = _replicate(prepared, one, n_paths, seed, 0)[1]
+    walks = [one(*w) for w in _ladder_batch(prepared, n_paths, seed, 0)]
     per_path, tot_t, tot_l, tot_h = (
         np.array(c, dtype=float) for c in zip(*walks))
     short = int(np.sum(tot_h <= u_grid[-1]))

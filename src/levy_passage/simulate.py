@@ -14,16 +14,22 @@ Two engines cover all models:
   first hitting time of a level and time of maximum are sampled exactly,
   so the cutoff is the only approximation.
 
-`prepare(model, cfg)` chooses the engine and builds its parts once. One
-path generator serves both engines: blocks of segments (the motion between
-two jumps) with their ends, jumps and maxima. Three consumers read it:
-first passage, fixed time and coupled levels. Ladder records read only
-event-exact paths, since a Gaussian part sets new maxima continuously.
-Crossing times, overshoots, undershoots and last-maximum times are exact to
-floating point on both engines.
+`prepare(model, cfg)` chooses the engine and builds its parts once. A path
+is read in blocks of segments (the motion between two jumps) with their
+ends, jumps and maxima. Four consumers read it: first passage, fixed time,
+coupled levels and ladder records; ladder records only on event-exact
+paths, since a Gaussian part sets new maxima continuously. Crossing times,
+overshoots, undershoots and last-maximum times are exact to floating point
+on both engines.
 
-Per-replication random streams make every batch reproducible independently
-of batching or execution order.
+The prepared Gaussian variance decides how a batch runs. Without one, a
+segment is a drift line and a path draws nothing but its waits and jumps,
+so the rows of a batch advance in lockstep as 2-D arrays (_lockstep),
+each still reading its own stream in the order of a single path. With one,
+a path generator walks one row at a time (_event_blocks). Either way row r
+of level index k reads the stream (seed, k, r), so every batch is
+reproducible independently of batching or execution order, and a
+single-path call on that stream gives the same row bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .models import LevyModel, ModelError, signed_mean_between, small_jump_variance
-from .rng import stream
+from .rng import _RowStreams, stream
 
 __all__ = [
     "SimConfig",
@@ -55,6 +61,8 @@ __all__ = [
 ]
 
 _EVENT_BLOCK = 64          # segments drawn at once by the path generator
+_CHUNK = 64                # rows advanced together by the lockstep driver
+_TINY = np.nextafter(0.0, 1.0)
 
 
 @dataclass
@@ -225,23 +233,313 @@ def cutoff_for_rate(model: LevyModel, target_rate: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the path generator
+# Gaussian-free paths, all rows of a batch in lockstep
+
+
+class _OneRow:
+    """The caller's generator as the stream of a one-row batch: it keeps
+    its own position between blocks."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def start(self, i: int) -> None:
+        pass
+
+    def save(self):
+        return self.rng
+
+    def restore(self, state) -> None:
+        pass
+
+
+def _rows(p: PreparedModel, n: int, seed: Optional[int],
+          level_index: int) -> tuple:
+    """(seed, streams) of a batch of n rows at level_index. A seed of None
+    means the prepared config's seed."""
+    if n < 0:
+        raise ValueError(f"n: must be nonnegative, got {n}")
+    seed = p.cfg.seed if seed is None else seed
+    return seed, _RowStreams(seed, level_index, np.arange(n))
+
+
+def _interleave(top, post):
+    """Segment maxima and jump landings in path order, along the last
+    axis."""
+    vals = np.empty(top.shape[:-1] + (2 * top.shape[-1],))
+    vals[..., 0::2] = top
+    vals[..., 1::2] = post
+    return vals
+
+
+def _chunks(n: int):
+    """The row indices of a batch of n in chunks of _CHUNK, which bounds
+    the stream states, arrays and records that a lockstep walk holds."""
+    for lo in range(0, n, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, n))
+
+
+def _lockstep(p: PreparedModel, rows, idx: np.ndarray, horizon: float,
+              step, head: Optional[tuple] = None) -> None:
+    """Walk the rows idx of a batch on a path without a Gaussian part, all
+    live rows together, a block of up to _EVENT_BLOCK segments at a time.
+
+    A segment is the drift line between two jumps. Each round every live
+    row restores its stream, draws its waits and then its jump sizes, and
+    saves its stream; then the blocks of all live rows advance at once as
+    2-D arrays, one row per path, with each row's arithmetic in the order
+    of a single path. step(idx, blk) gets the batch indices of the live
+    rows and blk = (t, x, te, pre, post, top): each row's start time and
+    position as columns, and for each segment its end time, the positions
+    just before and just after the jump that ends it, and its maximum (the
+    end on upward drift, else -inf, which sets no record). It returns a
+    mask of the rows it is done with; a row also leaves after the block
+    that ends past horizon. A model without jumps is one segment to
+    horizon, with no draws.
+
+    With head = (scale, out), each row r first draws out[r] =
+    rng.exponential(scale).
+    """
+    d = p.drift
+    jumpy = p.rate > 0.0
+    width = _EVENT_BLOCK if jumpy else 1
+    scale = 1.0 / p.rate if jumpy else math.inf
+    rng, draw = rows.rng, p.draw
+    states = [None] * len(idx)
+    t = x = np.zeros((len(idx), 1))
+    while idx.size:
+        m = len(idx)
+        if jumpy:
+            waits, jumps = np.empty((2, m, width))
+        else:
+            waits, jumps = np.full((m, 1), horizon), np.zeros((m, 1))
+        if jumpy or head is not None:
+            for i, r in enumerate(idx):
+                if states[i] is None:
+                    rows.start(r)
+                    if head is not None:
+                        head[1][r] = rng.exponential(head[0])
+                else:
+                    rows.restore(states[i])
+                if jumpy:
+                    waits[i] = rng.exponential(scale, width)
+                    jumps[i] = draw(rng, width)
+                    states[i] = rows.save()
+        ct = np.cumsum(waits, axis=1)
+        te = t + ct
+        shift = np.zeros((m, width))
+        np.cumsum(jumps[:, :-1], axis=1, out=shift[:, 1:])
+        pre = x + d * ct + shift
+        post = pre + jumps
+        top = pre if d > 0.0 else np.full((m, width), -math.inf)
+        keep = ~(step(idx, (t, x, te, pre, post, top))
+                 | (te[:, -1] >= horizon))
+        idx, t, x = idx[keep], te[keep, -1:], post[keep, -1:]
+        states = [s for s, k in zip(states, keep) if k]
+
+
+def _records(te, top, post, lim, mx, last) -> tuple:
+    """Per row of a lockstep block, (maximum, time of the last record) over
+    its first lim entries of interleaved segment maxima and jump landings,
+    from (mx, last). Ties count as reattained maxima, as in _scan_records;
+    a record falls at the end time of its segment."""
+    vals = _interleave(top, post)
+    vals[np.arange(vals.shape[1]) >= lim[:, None]] = -math.inf
+    prior = np.maximum.accumulate(
+        np.concatenate((mx[:, None], vals), axis=1), axis=1)[:, :-1]
+    rec = vals >= prior
+    i = vals.shape[1] - 1 - np.argmax(rec[:, ::-1], axis=1)
+    rr = np.arange(len(mx))
+    return (np.maximum(mx, vals.max(axis=1)),
+            np.where(rec.any(axis=1), te[rr, i // 2], last))
+
+
+def _before(te, post, t, x, rr, k):
+    """(time, position) at the start of segment k of row rr."""
+    first = k == 0
+    km1 = np.where(first, 0, k - 1)
+    return (np.where(first, t[rr, 0], te[rr, km1]),
+            np.where(first, x[rr, 0], post[rr, km1]))
+
+
+def _passages(p: PreparedModel, rows, n: int, u: np.ndarray,
+              head: Optional[tuple] = None) -> np.ndarray:
+    """First passages of n rows over levels u[r], censored at the horizon,
+    as the rows (tau, ruined, x_at_tau, overshoot, undershoot, g_last_max)
+    of one array. head is passed to _lockstep; a drawn level of 0 is taken
+    as the least positive float."""
+    horizon = p.cfg.horizon
+    d = p.drift
+    out = np.full((6, n), math.nan)
+    out[0], out[1] = math.inf, 0.0
+    mx, last = np.zeros((2, n))
+
+    def step(idx, blk):
+        t, x, te, pre, post, top = blk
+        lv = np.maximum(u[idx], _TINY)
+        hitm = (top > lv[:, None]) | (post > lv[:, None])
+        hit = hitm.any(axis=1)
+        k = np.argmax(hitm, axis=1)
+        # records up to the crossing jump, or through the whole block
+        mx[idx], last[idx] = _records(
+            te, top, post, np.where(hit, 2 * k + 1, 2 * te.shape[1]),
+            mx[idx], last[idx])
+        h = np.flatnonzero(hit)
+        if not h.size:
+            return hit
+        k, lv = k[h], lv[h]
+        tau = te[h, k]
+        x_at = post[h, k]
+        # a crossing jump: the position just before it may be the maximum
+        m, g = mx[idx[h]], last[idx[h]]
+        up = pre[h, k] >= m
+        m[up], g[up] = pre[h, k][up], tau[up]
+        # a continuous crossing, forward from the segment start: on a line
+        # from the origin that is bitwise u/d
+        c = np.flatnonzero(top[h, k] > lv)
+        t0, a = _before(te, post, t, x, h[c], k[c])
+        tau[c] = t0 + (lv[c] - a) / d
+        x_at[c] = lv[c]
+        m[c], g[c] = lv[c], tau[c]
+        ok = tau <= horizon
+        out[:, idx[h[ok]]] = np.stack(
+            (tau, np.ones(len(h)), x_at, x_at - lv, lv - m, g))[:, ok]
+        return hit
+
+    for idx in _chunks(n):
+        _lockstep(p, rows, idx, horizon, step, head)
+    return out
+
+
+def _fixed_times(p: PreparedModel, rows, n: int, horizon: float) -> tuple:
+    """Arrays (X_t, running max, last max time) at t = horizon over n
+    rows."""
+    d = p.drift
+    x_end, mx, last = np.zeros((3, n))
+
+    def step(idx, blk):
+        t, x, te, pre, post, top = blk
+        k = np.count_nonzero(te <= horizon, axis=1)
+        mx_r, last_r = _records(te, top, post, 2 * k, mx[idx], last[idx])
+        xe = post[:, -1].copy()
+        # rows whose horizon falls inside drift line k
+        c = np.flatnonzero(k < te.shape[1])
+        t0, a = _before(te, post, t, x, c, k[c])
+        xe[c] = a + d * (horizon - t0)
+        if d > 0.0:
+            c = c[xe[c] >= mx_r[c]]
+            mx_r[c], last_r[c] = xe[c], horizon
+        x_end[idx], mx[idx], last[idx] = xe, mx_r, last_r
+        return np.zeros(len(idx), dtype=bool)
+
+    for idx in _chunks(n):
+        _lockstep(p, rows, idx, horizon, step)
+    return x_end, mx, last
+
+
+def _coupled_rows(p: PreparedModel, rows, n: int,
+                  levels: np.ndarray) -> tuple:
+    """Passage times of n rows over increasing levels, each row one path,
+    with the running maximum just before each crossing; nan past the
+    horizon.
+
+    A level's crossing is the first segment maximum or jump landing above
+    it. A row stops at its first crossing past the horizon, leaving that
+    level and every higher one nan.
+    """
+    horizon = p.cfg.horizon
+    d = p.drift
+    nl = len(levels)
+    taus, maxima = np.full((2, n, nl), math.nan)
+    if p.rate == 0.0:
+        # the drift line, which passes u = d horizon at the horizon itself
+        if d > 0.0:
+            tt = levels / d
+            ok = tt <= horizon
+            taus[:, ok] = tt[ok]
+            maxima[:, ok] = levels[ok]
+        return taus, maxima
+    mx = np.zeros(n)
+    nxt = np.zeros(n, dtype=int)    # levels resolved per row
+
+    def step(idx, blk):
+        t, x, te, pre, post, top = blk
+        vals = _interleave(top, post)
+        run = np.maximum.accumulate(vals, axis=1)
+        # the entry that first passes each level; the running maximum
+        # before entry j is prior[:, j]
+        first = np.count_nonzero(run[:, None, :] <= levels[:, None], axis=2)
+        mxi = mx[idx][:, None]
+        prior = np.concatenate((mxi, np.maximum(mxi, run[:, :-1])), axis=1)
+        cross = (first < vals.shape[1]) \
+            & (np.arange(nl) >= nxt[idx][:, None])
+        rr, ll = np.nonzero(cross)
+        j = first[rr, ll]
+        k = j // 2
+        tau = te[rr, k]
+        top_k = np.maximum(prior[rr, j], pre[rr, k])
+        c = np.flatnonzero(j % 2 == 0)     # continuous crossings
+        t0, a = _before(te, post, t, x, rr[c], k[c])
+        tau[c] = t0 + (levels[ll[c]] - a) / d
+        top_k[c] = levels[ll[c]]
+        stop = np.zeros(cross.shape, dtype=bool)
+        stop[rr, ll] = tau > horizon
+        stop = np.logical_or.accumulate(stop, axis=1)
+        ok = ~stop[rr, ll]
+        taus[idx[rr[ok]], ll[ok]] = tau[ok]
+        maxima[idx[rr[ok]], ll[ok]] = top_k[ok]
+        nxt[idx] += np.count_nonzero(cross, axis=1)
+        mx[idx] = np.maximum(mx[idx], run[:, -1])
+        return stop[:, -1] | (nxt[idx] == nl)
+
+    for idx in _chunks(n):
+        _lockstep(p, rows, idx, horizon, step)
+    return taus, maxima
+
+
+def _ladders(p: PreparedModel, rows, n: int):
+    """Yields, row by row, the times and height increments of its strict
+    new maxima up to the horizon, as a pair of arrays."""
+    horizon = p.cfg.horizon
+    mx = np.zeros(n)
+    found = {}      # row -> its records so far, in pieces
+
+    def step(idx, blk):
+        t, x, te, pre, post, top = blk
+        k = np.count_nonzero(te <= horizon, axis=1)
+        vals = _interleave(top, post)
+        vals[np.arange(vals.shape[1]) >= 2 * k[:, None]] = -math.inf
+        run = np.maximum.accumulate(
+            np.concatenate((mx[idx][:, None], vals), axis=1), axis=1)
+        rr, cc = np.nonzero(vals > run[:, :-1])
+        times, heights = te[rr, cc // 2], vals[rr, cc] - run[rr, cc]
+        cuts = np.searchsorted(rr, np.arange(len(idx) + 1)).tolist()
+        for r, a, b in zip(idx.tolist(), cuts, cuts[1:]):
+            found[r].append((times[a:b], heights[a:b]))
+        mx[idx] = run[:, -1]
+        return np.zeros(len(idx), dtype=bool)
+
+    for idx in _chunks(n):
+        found.update((r, []) for r in idx.tolist())
+        _lockstep(p, rows, idx, horizon, step)
+        for r in idx.tolist():
+            yield tuple(np.concatenate(c) for c in zip(*found.pop(r)))
+
+
+# ---------------------------------------------------------------------------
+# paths with a Gaussian part, one row at a time
 
 
 def _event_blocks(p: PreparedModel, rng, horizon: float):
-    """The path in blocks of up to _EVENT_BLOCK segments, up to horizon.
+    """The path of a model with a Gaussian part in blocks of up to
+    _EVENT_BLOCK segments, up to horizon.
 
-    A segment is the motion between two jumps: a drift line without a
-    Gaussian part, a Brownian bridge with one. Yields (t, x, te, pre, post,
-    top): the block's start time and position, and for each segment its
-    end time, the positions just before and just after the jump that ends
-    it, and its maximum.
-
-    Without a Gaussian part a segment's maximum is its end on upward drift
-    and -inf otherwise, where it sets no record, and blocks run on until
-    one ends past horizon. With one, the segment that holds horizon is cut
-    there and ends the path, with no jump; after the waits and jumps the
-    generator draws the segment ends, then their bridge maxima. A model
+    A segment is the Brownian bridge between two jumps. Yields (t, x, te,
+    pre, post, top): the block's start time and position, and for each
+    segment its end time, the positions just before and just after the
+    jump that ends it, and its maximum. The segment that holds horizon is
+    cut there and ends the path, with no jump; after the waits and jumps
+    the generator draws the segment ends, then their bridge maxima. A model
     without jumps is one segment to horizon.
     """
     d = p.drift
@@ -255,20 +553,16 @@ def _event_blocks(p: PreparedModel, rng, horizon: float):
             j = p.draw(rng, _EVENT_BLOCK)
         te = t + ct
         last = te[-1] >= horizon
-        if sig2 > 0.0 and last:
+        if last:
             n = int(np.searchsorted(te, horizon)) + 1
             te = np.append(te[:n - 1], horizon)
             ct, j = te - t, np.append(j[:n - 1], 0.0)
         pre = x + d * ct + np.concatenate(([0.0], np.cumsum(j)[:-1]))
-        if sig2 > 0.0:
-            s = np.diff(te, prepend=t)
-            pre += np.cumsum(np.sqrt(sig2 * s) * rng.standard_normal(len(s)))
-            post = pre + j
-            top = _bridge_max(np.concatenate(([x], post[:-1])), pre, sig2 * s,
-                              np.log(rng.random(len(s))))
-        else:
-            post = pre + j
-            top = pre if d > 0.0 else np.full(len(pre), -math.inf)
+        s = np.diff(te, prepend=t)
+        pre += np.cumsum(np.sqrt(sig2 * s) * rng.standard_normal(len(s)))
+        post = pre + j
+        top = _bridge_max(np.concatenate(([x], post[:-1])), pre, sig2 * s,
+                          np.log(rng.random(len(s))))
         yield t, x, te, pre, post, top
         if last:
             return
@@ -288,15 +582,12 @@ def _bridge_max(x0, x1, var, logu):
 
 
 def _hit_time(p: PreparedModel, rng, u, t0, t1, a, b):
-    """Time at which the segment from a at t0 to b at t1 first passes u,
+    """Time at which the bridge from a at t0 to b at t1 first passes u,
     given that it does.
 
-    On a drift line that is where the line meets u. On a Brownian bridge
-    over s = t1 - t0 it is t0 + s Y/(1 + Y), with Y inverse Gaussian of
+    Over s = t1 - t0 it is t0 + s Y/(1 + Y), with Y inverse Gaussian of
     mean (u - a)/|u - b| and shape (u - a)^2/(sigma2 s).
     """
-    if p.sigma2 == 0.0:
-        return t0 + (u - a) / p.drift
     s = t1 - t0
     shape = (u - a) ** 2 / (p.sigma2 * s)
     if b == u:      # infinite mean: the limit law is shape / Z^2
@@ -336,14 +627,6 @@ def _max_time(p: PreparedModel, rng, m, last):
     return t0 + s * y / (1.0 + y)
 
 
-def _interleave(top, post):
-    """Segment maxima and jump landings in path order."""
-    vals = np.empty(len(top) + len(post))
-    vals[0::2] = top
-    vals[1::2] = post
-    return vals
-
-
 def _scan_records(blk, n, mx, last):
     """Update (maximum, last record) over the first n entries of the
     block's interleaved segment maxima and jump landings.
@@ -359,10 +642,6 @@ def _scan_records(blk, n, mx, last):
     return mx, last
 
 
-# ---------------------------------------------------------------------------
-# consumers
-
-
 def _record(u, tau, horizon=math.inf, x=None, under=0.0, g=None):
     """Passage at tau that lands on x (on u itself by default, a creep), or
     a censored record when tau is infinite or past the horizon."""
@@ -375,7 +654,8 @@ def _record(u, tau, horizon=math.inf, x=None, under=0.0, g=None):
 
 
 def _first_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
-    """First passage over u along one path, censored at the horizon."""
+    """First passage over u along one bridge path, censored at the
+    horizon."""
     horizon = p.cfg.horizon
     mx, last = 0.0, 0.0
     for blk in _event_blocks(p, rng, horizon):
@@ -386,8 +666,7 @@ def _first_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
             continue
         k = int(hit[0])
         if top[k] > u:
-            # a continuous crossing: forward from the segment start, which
-            # on a line from the origin is bitwise u/d
+            # a continuous crossing, forward from the segment start
             t0, a = (te[k - 1], post[k - 1]) if k else (t, x)
             return _record(u, _hit_time(p, rng, u, t0, te[k], a, pre[k]),
                            horizon)
@@ -400,40 +679,23 @@ def _first_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
 
 
 def _fixed_time(p: PreparedModel, horizon: float, rng) -> tuple:
-    """(X_t, running max, last max time) at t = horizon."""
-    d = p.drift
-    mx, last, x_end = 0.0, 0.0, 0.0
+    """(X_t, running max, last max time) at t = horizon along one bridge
+    path, whose last segment ends at horizon."""
+    mx, last = 0.0, 0.0
     for blk in _event_blocks(p, rng, horizon):
-        t, x, te, pre, post, top = blk
-        k = int(np.searchsorted(te, horizon, side="right"))
-        mx, last = _scan_records(blk, 2 * k, mx, last)
-        x_end = post[-1]
-        if k < len(te):     # the horizon falls inside drift line k
-            x_end = (post[k - 1] if k else x) \
-                + d * (horizon - (te[k - 1] if k else t))
-            if d > 0.0 and x_end >= mx:
-                mx, last = x_end, horizon
-    return float(x_end), float(mx), _max_time(p, rng, mx, last)
+        mx, last = _scan_records(blk, 2 * len(blk[2]), mx, last)
+    return float(blk[4][-1]), float(mx), _max_time(p, rng, mx, last)
 
 
 def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
-    """Passage times over increasing levels along one path, with the
-    running maximum just before each crossing; nan past the horizon.
+    """Passage times over increasing levels along one bridge path, with
+    the running maximum just before each crossing; nan past the horizon.
 
     After a bridge crosses a level, the rest of it is a bridge from that
     level, whose maximum is drawn afresh for the next level.
     """
     horizon = p.cfg.horizon
-    d = p.drift
     taus, maxima = np.full((2, len(levels)), math.nan)
-    if p.rate == 0.0 and p.sigma2 == 0.0:
-        # the drift line, which passes u = d horizon at the horizon itself
-        if d > 0.0:
-            tt = levels / d
-            ok = tt <= horizon
-            taus[ok] = tt[ok]
-            maxima[ok] = levels[ok]
-        return taus, maxima
     mx = 0.0
     nxt = 0  # first level not yet crossed
     for t, x, te, pre, post, top in _event_blocks(p, rng, horizon):
@@ -463,11 +725,10 @@ def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
                     taus[nxt] = tau
                     maxima[nxt] = u
                     nxt += 1
-                    if p.sigma2 > 0.0:
-                        t0, a = tau, u
-                        vals[j] = _bridge_max(
-                            u, pre[k], p.sigma2 * (te[k] - tau),
-                            math.log(rng.random()))
+                    t0, a = tau, u
+                    vals[j] = _bridge_max(
+                        u, pre[k], p.sigma2 * (te[k] - tau),
+                        math.log(rng.random()))
             mx = max(mx, float(vals[j]))
             i = j + 1
         if nxt == len(levels):
@@ -476,37 +737,27 @@ def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
     return taus, maxima
 
 
-def _ladder_records(p: PreparedModel, rng) -> tuple:
-    """Times and height increments of strict new maxima up to the horizon,
-    on an event-exact path."""
-    horizon = p.cfg.horizon
-    times, heights, mx = [], [], 0.0
-    for t, x, te, pre, post, top in _event_blocks(p, rng, horizon):
-        k = int(np.searchsorted(te, horizon, side="right"))
-        vals = _interleave(top[:k], post[:k])
-        run = np.maximum.accumulate(np.concatenate(([mx], vals)))
-        rec = np.flatnonzero(vals > run[:-1])
-        times.extend(te[rec // 2].tolist())
-        heights.extend((vals[rec] - run[rec]).tolist())
-        mx = run[-1]
-    return times, heights
-
-
-# ---------------------------------------------------------------------------
-# public entry points; model may be a LevyModel or a PreparedModel
-
-
 def _replicate(p: PreparedModel, one: Callable, n: int,
                seed: Optional[int], level_index: int) -> tuple:
-    """(seed, [one(rng) for each replication]) for a batch of n.
+    """(seed, [one(rng) for each replication]) for a batch of n, one row
+    at a time.
 
     Replication r of level level_index reads stream (seed, level_index, r),
     so a batch replays bitwise whatever its size or split. A seed of None
     means the prepared config's seed; the seed used comes back with the
     values.
     """
-    seed = p.cfg.seed if seed is None else seed
-    return seed, [one(stream(seed, level_index, r)) for r in range(n)]
+    seed, rows = _rows(p, n, seed, level_index)
+    out = []
+    for r in range(n):
+        rows.start(r)
+        out.append(one(rows.rng))
+    return seed, out
+
+
+# ---------------------------------------------------------------------------
+# public entry points; model may be a LevyModel or a PreparedModel; a model
+# without a Gaussian part runs in lockstep, one with one a row at a time
 
 
 def _check_levels(levels, increasing: bool = False) -> np.ndarray:
@@ -529,7 +780,12 @@ def simulate_passage(model, u: float, rng: np.random.Generator,
     """One passage attempt over level u > 0 with the natural engine."""
     if not u > 0.0:
         raise ValueError("level u must be positive")
-    return _first_passage(prepare(model, cfg), u, rng)
+    p = prepare(model, cfg)
+    if p.sigma2 > 0.0:
+        return _first_passage(p, u, rng)
+    tau, ruined, x_at, ov, us, gl = _passages(
+        p, _OneRow(rng), 1, np.array([u]))[:, 0].tolist()
+    return PassageRecord(u, tau, bool(ruined), x_at, ov, us, gl)
 
 
 def passage_sample(model, u: float, n: int,
@@ -539,11 +795,16 @@ def passage_sample(model, u: float, n: int,
     if not u > 0.0:
         raise ValueError("level u must be positive")
     p = prepare(model, cfg)
-    seed, recs = _replicate(p, lambda rng: _first_passage(p, u, rng), n,
-                            seed, level_index)
-    tau, x_at, ov, us, gl, ruined = np.array(
-        [(r.tau, r.x_at_tau, r.overshoot, r.undershoot, r.g_last_max,
-          r.ruined) for r in recs], dtype=float).reshape(n, 6).T.copy()
+    if p.sigma2 > 0.0:
+        seed, recs = _replicate(p, lambda rng: _first_passage(p, u, rng), n,
+                                seed, level_index)
+        cols = np.array(
+            [(r.tau, r.ruined, r.x_at_tau, r.overshoot, r.undershoot,
+              r.g_last_max) for r in recs], dtype=float).reshape(n, 6).T
+    else:
+        seed, rows = _rows(p, n, seed, level_index)
+        cols = _passages(p, rows, n, np.full(n, u))
+    tau, ruined, x_at, ov, us, gl = cols.copy()
     return PassageBatch(u, tau, ruined.astype(bool), x_at, ov, us, gl,
                         p.engine, seed, level_index)
 
@@ -551,7 +812,10 @@ def passage_sample(model, u: float, n: int,
 def sample_at_time(model, t: float, rng: np.random.Generator,
                    cfg: Optional[SimConfig] = None) -> tuple:
     """(X_t, running max, last max time) for one path."""
-    return _fixed_time(prepare(model, cfg), t, rng)
+    p = prepare(model, cfg)
+    if p.sigma2 > 0.0:
+        return _fixed_time(p, t, rng)
+    return tuple(float(v[0]) for v in _fixed_times(p, _OneRow(rng), 1, t))
 
 
 def fixed_time_sample(model, t: float, n: int,
@@ -559,6 +823,8 @@ def fixed_time_sample(model, t: float, n: int,
                       cfg: Optional[SimConfig] = None):
     """Arrays (X_t, running max, last max time) over n replications."""
     p = prepare(model, cfg)
+    if p.sigma2 == 0.0:
+        return _fixed_times(p, _rows(p, n, seed, level_index)[1], n, t)
     _, rows = _replicate(p, lambda rng: _fixed_time(p, t, rng), n, seed,
                          level_index)
     xs, ms, gs = np.array(rows, dtype=float).reshape(n, 3).T.copy()
@@ -575,7 +841,12 @@ def ratio_path(model, levels, rng: np.random.Generator,
     each crossing, which is nondecreasing in the level along the path.
     """
     levels = _check_levels(levels, increasing=True)
-    taus, maxima = _coupled_levels(prepare(model, cfg), levels, rng)
+    p = prepare(model, cfg)
+    if p.sigma2 > 0.0:
+        taus, maxima = _coupled_levels(p, levels, rng)
+    else:
+        taus, maxima = (a[0] for a in
+                        _coupled_rows(p, _OneRow(rng), 1, levels))
     return (taus, maxima) if with_max else taus
 
 
@@ -585,9 +856,21 @@ def ratio_paths(model, levels, n: int, seed: Optional[int] = None,
     """Matrix of passage times, one coupled path per row."""
     p = prepare(model, cfg)
     levels = _check_levels(levels, increasing=True)
+    if p.sigma2 == 0.0:
+        return _coupled_rows(p, _rows(p, n, seed, level_index)[1], n,
+                             levels)[0]
     _, rows = _replicate(p, lambda rng: _coupled_levels(p, levels, rng)[0],
                          n, seed, level_index)
     return np.array(rows, dtype=float).reshape(n, len(levels))
+
+
+def _ladder_batch(p: PreparedModel, n: int, seed: Optional[int],
+                  level_index: int):
+    """Yields, for each row of a batch of n, extract_ladder's epochs as two
+    arrays: the times since the previous record and the height
+    increments."""
+    for times, heights in _ladders(p, _rows(p, n, seed, level_index)[1], n):
+        yield np.diff(times, prepend=0.0), heights
 
 
 def extract_ladder(model, cfg: Optional[SimConfig] = None,
@@ -609,5 +892,5 @@ def extract_ladder(model, cfg: Optional[SimConfig] = None,
     p = prepare(model, cfg)
     if rng is None:
         rng = stream(p.cfg.seed, 0, 0)
-    times, heights = _ladder_records(p, rng)
-    return list(zip(np.diff(times, prepend=0.0).tolist(), heights))
+    times, heights = next(_ladders(p, _OneRow(rng), 1))
+    return list(zip(np.diff(times, prepend=0.0).tolist(), heights.tolist()))

@@ -104,6 +104,13 @@ def test_seed_override_changes_results(tmp_path):
     assert outs[0] == outs[2]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_override_outside_64_bits_exits_1(tmp_path, capsys, seed):
+    path = dmp_cfg(tmp_path, regime="prob-large")
+    assert main(["stability", "--config", path, "--seed", seed]) == 1
+    assert "config.seed" in capsys.readouterr().err
+
+
 def test_seed_override_lands_in_manifest(tmp_path):
     path = dmp_cfg(tmp_path, regime="prob-large")
     out = str(tmp_path / "s.csv")

@@ -146,6 +146,13 @@ def test_sim_overrides_and_seed():
     assert got.epsilon == SimConfig().epsilon
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_64_bits_names_the_field(seed):
+    with pytest.raises(ConfigError, match=r"^config\.seed: seed out of range"):
+        sim_from_config({"seed": seed})
+    assert sim_from_config({"seed": 2**64 - 1}).seed == 2**64 - 1
+
+
 def test_sim_invalid_values_name_section():
     with pytest.raises(ConfigError, match="sim"):
         sim_from_config({"sim": {"dt": -1.0}})

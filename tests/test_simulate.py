@@ -14,7 +14,9 @@ import pytest
 from levy_passage.models import (brownian_drift, cramer_lundberg,
                                  drift_minus_poisson, make_counterexample1,
                                  spectrally_negative)
-from levy_passage.rng import stream
+from levy_passage import simulate
+from levy_passage.ladder import Backend, LadderExponent, verify_lt_identity
+from levy_passage.rng import _RowStreams, stream
 from levy_passage.simulate import (SimConfig, choose_engine, cutoff_for_rate,
                                    extract_ladder, fixed_time_sample,
                                    passage_sample, ratio_path, ratio_paths,
@@ -22,6 +24,9 @@ from levy_passage.simulate import (SimConfig, choose_engine, cutoff_for_rate,
 
 DMP = drift_minus_poisson(2.0)
 BD = brownian_drift(1.0, 1.0)
+SN = spectrally_negative(2.0, 1.0, 1.0)
+CL = cramer_lundberg(1.0, 2.0, 1.0)
+LINE = brownian_drift(2.0, 0.0)     # event-exact with no jumps
 
 
 def test_engine_selection():
@@ -164,6 +169,67 @@ def test_seeds_decorrelate_levels():
     assert not np.array_equal(a.tau, b.tau)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, -2**64, 2**64 + 5])
+def test_stream_refuses_seeds_outside_64_bits(seed):
+    # they would alias: -1 drew the words of 2**64 - 1, 2**64 those of 0
+    with pytest.raises(ValueError, match="seed out of range"):
+        stream(seed)
+
+
+def test_stream_keys_the_64_bit_extremes_apart():
+    top = stream(2**64 - 1, 2**32 - 1, 2**32 - 1).integers(0, 2**63, 4)
+    assert not np.array_equal(top, stream(0).integers(0, 2**63, 4))
+    assert not np.array_equal(
+        top, stream(2**64 - 1, 2**32 - 1, 2**32 - 2).integers(0, 2**63, 4))
+
+
+def _draw_some(rng, k):
+    # sizes and kinds that leave words (and a half word) in the buffer
+    if k % 3 == 0:
+        return rng.exponential(0.5, 5)
+    if k % 3 == 1:
+        return rng.integers(0, 7, 3, dtype=np.int32).astype(float)
+    return rng.random(1)
+
+
+@pytest.mark.parametrize("seed, level, reps", [
+    (5, 0, [0, 1]),
+    (2**64 - 1, 2**32 - 1, [2**32 - 2, 2**32 - 1]),
+])
+def test_row_streams_interleaved_draw_each_rows_own_words(seed, level, reps):
+    rows = _RowStreams(seed, level, reps)
+    got, saved = [[], []], [None, None]
+    for k in range(6):
+        for i in (0, 1):
+            if saved[i] is None:
+                rows.start(i)
+            else:
+                rows.restore(saved[i])
+            got[i].append(_draw_some(rows.rng, k))
+            saved[i] = rows.save()
+    for i, r in enumerate(reps):
+        ref = stream(seed, level, r)
+        want = [_draw_some(ref, k) for k in range(6)]
+        assert all(np.array_equal(a, b) for a, b in zip(got[i], want)), r
+
+
+_NEGATIVE_N = {
+    "passage-exact": lambda n: passage_sample(DMP, 1.0, n).tau,
+    "passage-skeleton": lambda n: passage_sample(BD, 1.0, n).tau,
+    "fixed-time": lambda n: fixed_time_sample(DMP, 1.0, n)[0],
+    "coupled": lambda n: ratio_paths(DMP, [1.0, 2.0], n),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NEGATIVE_N))
+def test_negative_batch_size_is_refused(kind):
+    call = _NEGATIVE_N[kind]
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=r"^n: must be nonnegative"):
+            call(n)
+    assert len(call(0)) == 0
+
+
 # ---------------------------------------------------------------------------
 # pathwise coupling: fixed-time view against passage view
 
@@ -207,19 +273,26 @@ def _record_row(rec):
 
 
 _LEVELS = np.array([0.5, 1.0, 2.0])
+# rows per model; drift-minus-poisson runs past one lockstep chunk
+_TWIN_ROWS = ((DMP, simulate._CHUNK + 44), (BD, 5), (SN, 9), (CL, 9),
+              (LINE, 3))
 # (batch of n at level index 3 as a matrix, one path as its row)
+_TWIN_CFG = SimConfig(horizon=200.0)
 _TWINS = {
     "passage": (
         lambda m, n: _passage_rows(passage_sample(m, 1.5, n, seed=11,
-                                                  level_index=3)),
-        lambda m, rng: _record_row(simulate_passage(m, 1.5, rng))),
+                                                  level_index=3,
+                                                  cfg=_TWIN_CFG)),
+        lambda m, rng: _record_row(simulate_passage(m, 1.5, rng,
+                                                    _TWIN_CFG))),
     "fixed-time": (
-        lambda m, n: np.column_stack(fixed_time_sample(m, 2.0, n, seed=11,
-                                                       level_index=3)),
-        lambda m, rng: sample_at_time(m, 2.0, rng)),
+        lambda m, n: np.column_stack(fixed_time_sample(
+            m, 2.0, n, seed=11, level_index=3, cfg=_TWIN_CFG)),
+        lambda m, rng: sample_at_time(m, 2.0, rng, _TWIN_CFG)),
     "coupled": (
-        lambda m, n: ratio_paths(m, _LEVELS, n, seed=11, level_index=3),
-        lambda m, rng: ratio_path(m, _LEVELS, rng)),
+        lambda m, n: ratio_paths(m, _LEVELS, n, seed=11, level_index=3,
+                                 cfg=_TWIN_CFG),
+        lambda m, rng: ratio_path(m, _LEVELS, rng, _TWIN_CFG)),
 }
 
 
@@ -228,12 +301,55 @@ def test_batch_rows_match_single_path_twins(kind):
     # row r of a batch is the single path on stream (seed, level index, r),
     # bit for bit, censored (nan) entries included
     batch, single = _TWINS[kind]
-    for model in (DMP, BD):
-        mat = batch(model, 5)
-        assert mat.shape[0] == 5
-        for r in range(5):
+    for model, n in _TWIN_ROWS:
+        mat = batch(model, n)
+        assert mat.shape[0] == n
+        for r in range(n):
             row = np.asarray(single(model, stream(11, 3, r)), dtype=float)
             assert np.array_equal(mat[r], row, equal_nan=True), (model, r)
+
+
+@pytest.mark.parametrize("model", [DMP, SN, BD], ids=["dmp", "sn", "bd"])
+def test_lt_identity_rows_match_single_path_twins(model):
+    # row r draws its Exp(mu) level from stream (seed, 0, r), then walks
+    # that stream's path: the summary is that of the single-path twins
+    mu, nu, theta = 1.5, 0.5, 0.25
+    n = simulate._CHUNK + 44 if model is DMP else 30
+    cfg = SimConfig(horizon=200.0)
+    kappa = LadderExponent(Backend.DRIFT_MINUS_POISSON, 0.0, 0.0, 0.0,
+                           lambda a, b: 1.0 + a + b)
+    rep = verify_lt_identity(model, kappa, mu=mu, nu=nu, theta=theta, n=n,
+                             seed=19, cfg=cfg)
+    vals = []
+    for r in range(n):
+        rng = stream(19, 0, r)
+        rec = simulate_passage(model, rng.exponential(1.0 / mu), rng, cfg)
+        g = rec.g_last_max
+        vals.append(math.exp(-nu * g - theta * (rec.tau - g)) * (1.0 / mu)
+                    if rec.ruined else 0.0)
+    assert rep["lhs"] == float(np.mean(vals))
+    assert rep["se"] == float(np.std(vals, ddof=1) / math.sqrt(n))
+
+
+def _lockstep_outputs():
+    out = []
+    for model in (DMP, SN, CL, LINE):
+        cfg = SimConfig(horizon=150.0)
+        b = passage_sample(model, 60.0, 600, seed=23, level_index=1, cfg=cfg)
+        out += [b.tau, b.ruined, b.x_at_tau, b.overshoot, b.undershoot,
+                b.g_last_max]
+        out += list(fixed_time_sample(model, 100.0, 600, seed=23, cfg=cfg))
+        out.append(ratio_paths(model, [1.0, 30.0, 90.0], 600, seed=23,
+                               cfg=cfg))
+    return [np.asarray(a, dtype=float).tobytes() for a in out]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_lockstep_output_is_chunk_invariant(monkeypatch, chunk):
+    # rows advance together in chunks; the chunk size changes no byte
+    want = _lockstep_outputs()
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    assert _lockstep_outputs() == want
 
 
 def test_ratio_path_rejects_bad_levels():
