@@ -17,16 +17,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from levy_passage.cramer import ruin_is
+from levy_passage.cramer import esscher_tilt, ruin_is, solve_lundberg
 from levy_passage.ladder import (Backend, LadderExponent, renewal_estimate,
                                  verify_lt_identity)
 from levy_passage.models import (brownian_drift, cramer_lundberg,
                                  custom_model, drift_minus_poisson,
-                                 spectrally_negative)
+                                 make_counterexample1, spectrally_negative)
 from levy_passage.rng import stream
-from levy_passage.simulate import (SimConfig, extract_ladder,
-                                   fixed_time_sample, passage_sample,
-                                   ratio_path, ratio_paths)
+from levy_passage.simulate import (SimConfig, cutoff_for_rate,
+                                   extract_ladder, fixed_time_sample,
+                                   passage_sample, prepare, ratio_path,
+                                   ratio_paths)
 
 DMP = drift_minus_poisson(2.0)
 SN = spectrally_negative(2.0, 1.0, 1.0)
@@ -35,6 +36,12 @@ LINE = brownian_drift(2.0, 0.0)             # event-exact with rate 0
 BD = brownian_drift(1.0, 1.0)               # skeleton without jumps
 EXP2 = "pow(2.718281828459045, -2*x)"
 JD = custom_model(gamma=1.0, sigma2=1.0, pos_tail=EXP2, neg_tail=EXP2)
+
+# the tilt-setup benchmark model: Cramer-Lundberg (1, 2, 1) written as
+# tails, so the general Esscher tilt runs; its small jumps leave a Gaussian
+# variance of about 6.7e-10
+TAILS_CL = custom_model(gamma=-1.0 + (1.0 - 3.0 * np.exp(-2.0)) / 2.0,
+                        sigma2=0.0, pos_tail=EXP2, neg_tail="0")
 
 LONG = SimConfig(horizon=60.0, dt=0.05)
 SHORT = SimConfig(horizon=1.5, dt=0.05)
@@ -66,6 +73,20 @@ def _ladder(model, cfg, n=6, seed=14):
         epochs = extract_ladder(model, cfg, rng=stream(seed, 0, r))
         out.append(np.asarray(epochs, dtype=float).reshape(-1, 2))
     return out
+
+
+def _ce1_fixed(t, n=200, seed=18):
+    # appendix_demo's cutoff: about 50 jumps by t, so a path ends inside
+    # its first block of segments
+    model = make_counterexample1()
+    eps = cutoff_for_rate(model, 50.0 / t)
+    return _fixed(prepare(model, SimConfig(epsilon=eps)), t, None, n=n,
+                  seed=seed)
+
+
+def _tilted(model, u, cfg, n=100):
+    tilted = esscher_tilt(model, solve_lundberg(model)).tilted
+    return _passage(tilted, u, cfg, n=n, seed=19)
 
 
 def _lt(model, cfg, n):
@@ -119,12 +140,17 @@ CASES = {
     "skeleton-jumps-fixed": lambda: _fixed(JD, 2.0, LONG, n=100),
     "skeleton-jumps-coupled": lambda: _coupled(JD, LONG, n=20),
     "skeleton-jumps-coupled-short": lambda: _coupled(JD, SHORT, n=20),
+    "skeleton-ce1-fixed-small-t": lambda: _ce1_fixed(1e-3),
+    "skeleton-tilted-tails-passage": lambda: _tilted(
+        TAILS_CL, 2.0, SimConfig(horizon=600.0)),
     # pure diffusion: one bridge to the horizon
     "diffusion-passage": lambda: _passage(BD, 2.0, LONG),
     "diffusion-passage-default": lambda: _passage(BD, 5.0, None, n=50),
     "diffusion-passage-short": lambda: _passage(BD, 4.0, SHORT),
     "diffusion-fixed": lambda: _fixed(BD, 2.0, LONG, n=100),
     "diffusion-coupled": lambda: _coupled(BD, LONG, n=20),
+    "diffusion-coupled-one-bridge": lambda: [ratio_paths(
+        BD, [0.25, 0.5, 0.75, 1.0, 1.25, 1.5], 200, seed=20, cfg=SHORT)],
     # library calls built on the consumers
     "lt-identity-dmp": lambda: _lt(DMP, SimConfig(horizon=1e4), 300),
     "lt-identity-skeleton": lambda: _lt(JD, LONG, 40),
@@ -143,6 +169,8 @@ def digest(arrays) -> str:
 GOLDEN = {
     "diffusion-coupled":
         "f5dc82939d425a894aa2dd17cf236c31c8050f022e0837c981ecebbbcef29f14",
+    "diffusion-coupled-one-bridge":
+        "8bccb88bcc086bb0b07faf626c1793f5ca1b2d6d5994c8e3ac6db80ef39b1f67",
     "diffusion-fixed":
         "e80be910ff548df34455efc5cb0407f4832ea5518f675641cc89f54e23e2db40",
     "diffusion-passage":
@@ -201,6 +229,8 @@ GOLDEN = {
         "8ca86b73e0b5ea85e8979b30c0e30686544a0ecd4ee4420fe84c1b5aba24ac03",
     "ruin-cl":
         "f0a7e531001b2b7349cf967b707fe232dbb7f5845ec2ee615e10e704ffcf154b",
+    "skeleton-ce1-fixed-small-t":
+        "7b1d733a7cc601b01ecbeb4edafc90b77692091ec66ea9717a7ae372655e5ba1",
     "skeleton-jumps-coupled":
         "2d12d2d715cdc25a21d49be337b675421494a9bb856ac60e239694df1b5fae4b",
     "skeleton-jumps-coupled-short":
@@ -211,6 +241,8 @@ GOLDEN = {
         "8d604b13d49c1bc305ef9495c98e86bdb67f105258c58f79117ee744b30b0398",
     "skeleton-jumps-passage-short":
         "d3a8592df5c5c08e0daed7adf3e09f84154672e99c130c4eb748779687e77668",
+    "skeleton-tilted-tails-passage":
+        "9fda0c0f3310e3c241423401854af4082c87db821dd136d648392510c68b7868",
 }
 
 
