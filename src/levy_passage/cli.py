@@ -28,9 +28,10 @@ from .experiments import (appendix_demo, as_stability_experiment,
                           overshoot_law_experiment, tau_stability_experiment)
 from .ladder import exponent_for, verify_lt_identity
 from .models import ModelError, classify_stability
-from .output import (PLOT_COLUMNS, RECORD_COLUMNS, plot_rows_from_report,
-                     plot_rows_from_result, record_rows, result_payload,
-                     ruin_plot_rows, write_csv, write_json, write_manifest)
+from .output import (PLOT_COLUMNS, RECORD_COLUMNS, _iter_records,
+                     plot_rows_from_report, plot_rows_from_result,
+                     record_rows, result_payload, ruin_plot_rows, write_csv,
+                     write_json, write_manifest)
 from .simulate import passage_sample
 
 
@@ -124,11 +125,13 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         if len(grid) != 1:
             raise ConfigError("u_grid: simulate takes exactly one level")
         batch = passage_sample(model, grid[0], n, seed=sim.seed, cfg=sim)
-        rows = record_rows(batch)
         print(f"simulate u={grid[0]:g}: {batch.n_ruined}/{n} ruined, "
               f"engine={batch.engine}")
-        _emit(args, rows, result_payload("simulate", {"records": rows}),
-              columns=RECORD_COLUMNS)
+        if args.format == "json":
+            _emit(args, json_payload=result_payload(
+                "simulate", {"records": record_rows(batch)}))
+        else:
+            _emit(args, _iter_records(batch), columns=RECORD_COLUMNS)
         return 0
 
     if command in ("stability", "last-max", "mean-exit"):

@@ -452,8 +452,9 @@ def appendix_demo(model: LevyModel, times, n: int,
     """
     cfg = cfg or SimConfig()
     times = np.asarray(times, dtype=float)
-    if np.any(times <= 0.0):
-        raise ValueError("time points must be positive")
+    if not np.all(np.isfinite(times) & (times > 0.0)):
+        raise ValueError(
+            f"times: must be finite and positive, got {times.tolist()!r}")
     rows = []
     for i, t in enumerate(times):
         eps = cutoff_for_rate(model, min(events_per_path / t,

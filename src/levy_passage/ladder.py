@@ -32,9 +32,8 @@ from .cramer import solve_lundberg
 from .models import (Family, LevyModel, ModelError, cumulant,
                      drift_minus_poisson, process_mean)
 from .quadrature import brent_root
-from .simulate import (_TINY, SimConfig, _check_levels, _ladder_batch,
-                       _passages, _replicate, _rows, choose_engine, prepare,
-                       simulate_passage)
+from .simulate import (SimConfig, _check_levels, _ladder_batch, _passages,
+                       _rows, choose_engine, prepare)
 
 __all__ = [
     "Backend",
@@ -199,22 +198,11 @@ def verify_lt_identity(model: LevyModel, kappa: LadderExponent, mu: float,
     prepared = prepare(model, cfg)
     inv_mu = 1.0 / mu
 
-    if prepared.sigma2 == 0.0:
-        # each row draws its level first, then walks its path
-        seed, rows = _rows(prepared, n, seed, 0)
-        levels = np.empty(n)
-        tau, ruined, _, over, under, g = _passages(prepared, rows, n, levels,
-                                                   (inv_mu, levels))
-    else:
-        def one(rng):
-            u = rng.exponential(inv_mu)
-            rec = simulate_passage(prepared, u if u > 0.0 else _TINY, rng)
-            return (rec.tau, rec.ruined, rec.overshoot, rec.undershoot,
-                    rec.g_last_max)
-
-        seed, recs = _replicate(prepared, one, n, seed, 0)
-        tau, ruined, over, under, g = np.array(
-            recs, dtype=float).reshape(n, 5).T
+    # each row draws its level first, then walks its path
+    seed, rows = _rows(prepared, n, seed, 0)
+    levels = np.empty(n)
+    tau, ruined, _, over, under, g = _passages(prepared, rows, n, levels,
+                                               (inv_mu, levels))
     # the exponent takes only exact float arithmetic; exp is libm's
     ex = -rho * over - lam * under - nu * g - theta * (tau - g)
     vals = np.where(ruined > 0.0,

@@ -117,18 +117,19 @@ def ruin_plot_rows(estimates: list, experiment: str = "ruin") -> list:
 
 
 def record_rows(batch) -> list:
-    rows = []
-    for r in range(batch.n):
-        rows.append({
-            "u": batch.u, "tau": float(batch.tau[r]),
-            "x_at_tau": float(batch.x_at_tau[r]),
-            "overshoot": float(batch.overshoot[r]),
-            "undershoot": float(batch.undershoot[r]),
-            "g_last_max": float(batch.g_last_max[r]),
-            "ruined": bool(batch.ruined[r]),
-            "seed": batch.seed, "replication": r,
-        })
-    return rows
+    return list(_iter_records(batch))
+
+
+def _iter_records(batch):
+    """record_rows one row at a time, read from the batch's columns, so a
+    CSV writer holds one row, not the batch, as dicts."""
+    cols = zip(batch.tau, batch.x_at_tau, batch.overshoot, batch.undershoot,
+               batch.g_last_max, batch.ruined)
+    for r, (tau, x_at, over, under, g, ruined) in enumerate(cols):
+        yield {"u": batch.u, "tau": float(tau), "x_at_tau": float(x_at),
+               "overshoot": float(over), "undershoot": float(under),
+               "g_last_max": float(g), "ruined": bool(ruined),
+               "seed": batch.seed, "replication": r}
 
 
 def write_manifest(result_path: str, spec_echo: dict, version: str,

@@ -22,14 +22,17 @@ paths, since a Gaussian part sets new maxima continuously. Crossing times,
 overshoots, undershoots and last-maximum times are exact to floating point
 on both engines.
 
-The prepared Gaussian variance decides how a batch runs. Without one, a
-segment is a drift line and a path draws nothing but its waits and jumps,
-so the rows of a batch advance in lockstep as 2-D arrays (_lockstep),
-each still reading its own stream in the order of a single path. With one,
-a path generator walks one row at a time (_event_blocks). Either way row r
-of level index k reads the stream (seed, k, r), so every batch is
-reproducible independently of batching or execution order, and a
-single-path call on that stream gives the same row bit for bit.
+One driver (_lockstep) walks every batch: its rows advance together as
+2-D arrays, a block of segments a round, each still reading its own stream
+in the order of a single path. A path without a Gaussian part draws only
+its waits and jumps, and its segments are drift lines. The prepared
+Gaussian variance adds, per row and block, a normal for each segment end
+and a uniform for each bridge maximum, and between blocks the scalar draws
+of the consumers that need them: a hitting time, a time of the maximum, or
+a fresh bridge maximum after a coupled level is passed. Row r of level
+index k reads the stream (seed, k, r), so every batch is reproducible
+independently of batching or execution order, and a single-path call on
+that stream, a one-row batch, gives the same row bit for bit.
 """
 
 from __future__ import annotations
@@ -233,7 +236,7 @@ def cutoff_for_rate(model: LevyModel, target_rate: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-free paths, all rows of a batch in lockstep
+# the rows of a batch, walked in lockstep
 
 
 class _OneRow:
@@ -281,39 +284,72 @@ def _chunks(n: int):
 
 def _lockstep(p: PreparedModel, rows, idx: np.ndarray, horizon: float,
               step, head: Optional[tuple] = None) -> None:
-    """Walk the rows idx of a batch on a path without a Gaussian part, all
-    live rows together, a block of up to _EVENT_BLOCK segments at a time.
+    """Walk the rows idx of a batch, all live rows together, a block of up
+    to _EVENT_BLOCK segments at a time.
 
-    A segment is the drift line between two jumps. Each round every live
-    row restores its stream, draws its waits and then its jump sizes, and
-    saves its stream; then the blocks of all live rows advance at once as
-    2-D arrays, one row per path, with each row's arithmetic in the order
-    of a single path. step(idx, blk) gets the batch indices of the live
-    rows and blk = (t, x, te, pre, post, top): each row's start time and
-    position as columns, and for each segment its end time, the positions
-    just before and just after the jump that ends it, and its maximum (the
-    end on upward drift, else -inf, which sets no record). It returns a
-    mask of the rows it is done with; a row also leaves after the block
-    that ends past horizon. A model without jumps is one segment to
-    horizon, with no draws.
+    A segment is the motion between two jumps: a drift line, or a Brownian
+    bridge when the prepared Gaussian variance is positive. Each round
+    every live row restores its stream and draws its waits and then its
+    jump sizes. With a Gaussian part it then cuts its block at horizon, if
+    the block reaches it, and draws a standard normal for each segment end
+    and a uniform for each bridge maximum. It saves its stream, and the
+    blocks of all live rows advance at once as 2-D arrays, one row per
+    path, with each row's draws and arithmetic in the order of a single
+    path.
+
+    step(idx, blk, rng_at) gets the batch indices of the live rows and
+    blk = (t, x, te, pre, post, top): each row's start time and position as
+    columns, and for each segment its end time, the positions just before
+    and just after the jump that ends it, and its maximum (on a line, the
+    end on upward drift, else -inf, which sets no record). rng_at(i) is the
+    generator at live row i's place in its stream, for the draws that a
+    consumer makes between blocks; rng_at(i, True) keeps the place the
+    draws reach, for a row that goes on. step returns a mask of the rows
+    it is done with; a row also leaves after the block that ends at or
+    past horizon. The bridge that holds horizon ends there, with no jump,
+    and the entries after it are padded with te = horizon and -inf
+    positions. A model without jumps is one segment to horizon.
 
     With head = (scale, out), each row r first draws out[r] =
     rng.exponential(scale).
     """
-    d = p.drift
+    d, sig2 = p.drift, p.sigma2
     jumpy = p.rate > 0.0
     width = _EVENT_BLOCK if jumpy else 1
     scale = 1.0 / p.rate if jumpy else math.inf
     rng, draw = rows.rng, p.draw
+    # an inverse-tail sampler turns each row's uniforms into jumps at once
+    invert = getattr(draw, "from_uniforms", None)
     states = [None] * len(idx)
+    held = [None, False]    # the live row whose place rng holds, and
+                            # whether that place is kept when rng moves on
+
+    def rng_at(i, keep=False):
+        if held[0] != i:
+            release()
+            rows.restore(states[i])
+            held[0] = i
+        held[1] = keep
+        return rng
+
+    def release():
+        if held[1]:
+            states[held[0]] = rows.save()
+        held[:] = [None, False]
+
     t = x = np.zeros((len(idx), 1))
     while idx.size:
         m = len(idx)
         if jumpy:
-            waits, jumps = np.empty((2, m, width))
+            waits = np.empty((m, width))
+            jumps = np.empty((m, 2 * width if invert else width))
         else:
             waits, jumps = np.full((m, 1), horizon), np.zeros((m, 1))
-        if jumpy or head is not None:
+        if sig2 > 0.0:
+            ct, z, unif = np.empty((m, width)), np.zeros((m, width)), \
+                np.ones((m, width))
+            ends = np.full(m, width + 1)    # segments of a block cut short
+        if jumpy or sig2 > 0.0 or head is not None:
             for i, r in enumerate(idx):
                 if states[i] is None:
                     rows.start(r)
@@ -323,35 +359,86 @@ def _lockstep(p: PreparedModel, rows, idx: np.ndarray, horizon: float,
                     rows.restore(states[i])
                 if jumpy:
                     waits[i] = rng.exponential(scale, width)
-                    jumps[i] = draw(rng, width)
+                    if invert:
+                        rng.random(out=jumps[i])
+                    else:
+                        jumps[i] = draw(rng, width)
+                if sig2 > 0.0:
+                    np.add.accumulate(waits[i], out=ct[i])
+                    k = width
+                    if t[i, 0] + ct[i, -1] >= horizon:
+                        k = ends[i] = int(np.searchsorted(
+                            t[i, 0] + ct[i], horizon)) + 1
+                    rng.standard_normal(out=z[i, :k])
+                    rng.random(out=unif[i, :k])
+                if jumpy or sig2 > 0.0:
                     states[i] = rows.save()
-        ct = np.cumsum(waits, axis=1)
-        te = t + ct
+        if invert:
+            jumps = invert(jumps)
+        if sig2 > 0.0:
+            # the segment that holds horizon ends there, with no jump
+            te = t + ct
+            cut = np.arange(width) >= ends[:, None] - 1
+            te[cut] = horizon
+            c = np.flatnonzero(ends <= width)
+            ct[c] = te[c] - t[c]
+            jumps[cut] = 0.0
+        else:
+            ct = np.cumsum(waits, axis=1)
+            te = t + ct
         shift = np.zeros((m, width))
         np.cumsum(jumps[:, :-1], axis=1, out=shift[:, 1:])
         pre = x + d * ct + shift
-        post = pre + jumps
-        top = pre if d > 0.0 else np.full((m, width), -math.inf)
-        keep = ~(step(idx, (t, x, te, pre, post, top))
+        if sig2 > 0.0:
+            var = sig2 * np.diff(te, axis=1, prepend=t)
+            pre += np.cumsum(np.sqrt(var) * z, axis=1)
+            post = pre + jumps
+            top = _bridge_max(np.concatenate((x, post[:, :-1]), axis=1),
+                              pre, var, np.log(unif))
+            past = np.arange(width) >= ends[:, None]
+            pre[past] = post[past] = top[past] = -math.inf
+        else:
+            post = pre + jumps
+            top = pre if d > 0.0 else np.full((m, width), -math.inf)
+        keep = ~(step(idx, (t, x, te, pre, post, top), rng_at)
                  | (te[:, -1] >= horizon))
+        release()
         idx, t, x = idx[keep], te[keep, -1:], post[keep, -1:]
         states = [s for s, k in zip(states, keep) if k]
 
 
-def _records(te, top, post, lim, mx, last) -> tuple:
-    """Per row of a lockstep block, (maximum, time of the last record) over
-    its first lim entries of interleaved segment maxima and jump landings,
-    from (mx, last). Ties count as reattained maxima, as in _scan_records;
-    a record falls at the end time of its segment."""
+def _bridge_max(x0, x1, var, logu):
+    """Exact maximum of a Brownian bridge from x0 to x1 with variance var.
+
+    With q = -var log U, the maximum is the larger root of
+    (m - x0)(m - x1) = q/2, always at least max(x0, x1).
+    """
+    q = -var * logu
+    disc = (x1 - x0) ** 2 + 2.0 * q
+    return 0.5 * (x0 + x1 + np.sqrt(disc))
+
+
+def _last_record(top, post, lim, mx) -> tuple:
+    """Per row of a block, over its first lim entries of interleaved
+    segment maxima and jump landings, from the maximum mx: the new maximum,
+    whether the block sets a record, and the entry of its last record.
+    Ties count as reattained maxima, so the last record is the latest
+    visit to the maximum."""
     vals = _interleave(top, post)
     vals[np.arange(vals.shape[1]) >= lim[:, None]] = -math.inf
     prior = np.maximum.accumulate(
         np.concatenate((mx[:, None], vals), axis=1), axis=1)[:, :-1]
     rec = vals >= prior
-    i = vals.shape[1] - 1 - np.argmax(rec[:, ::-1], axis=1)
-    rr = np.arange(len(mx))
-    return (np.maximum(mx, vals.max(axis=1)),
-            np.where(rec.any(axis=1), te[rr, i // 2], last))
+    return (np.maximum(mx, vals.max(axis=1)), rec.any(axis=1),
+            vals.shape[1] - 1 - np.argmax(rec[:, ::-1], axis=1))
+
+
+def _records(te, top, post, lim, mx, last) -> tuple:
+    """Per row of a block of drift lines, (maximum, time of the last
+    record) from (mx, last); a record falls at the end time of its
+    segment."""
+    mx, rec, i = _last_record(top, post, lim, mx)
+    return mx, np.where(rec, te[np.arange(len(mx)), i // 2], last)
 
 
 def _before(te, post, t, x, rr, k):
@@ -360,6 +447,56 @@ def _before(te, post, t, x, rr, k):
     km1 = np.where(first, 0, k - 1)
     return (np.where(first, t[rr, 0], te[rr, km1]),
             np.where(first, x[rr, 0], post[rr, km1]))
+
+
+def _record_segments(te, pre, post, t, x, rr, i) -> np.ndarray:
+    """(t0, t1, a, b) of the record at entry i of rows rr: the bridge from
+    a at t0 to b at t1 for a segment maximum, and the point (t1, b) for a
+    jump landing, whose value b is the maximum itself."""
+    k = i // 2
+    t0, a = _before(te, post, t, x, rr, k)
+    land = i % 2 == 1
+    t1, b = te[rr, k], np.where(land, post[rr, k], pre[rr, k])
+    return np.stack((np.where(land, t1, t0), t1, np.where(land, b, a), b))
+
+
+def _hit_time(p: PreparedModel, rng, u, t0, t1, a, b):
+    """Time at which the bridge from a at t0 to b at t1 first passes u,
+    given that it does.
+
+    Over s = t1 - t0 it is t0 + s Y/(1 + Y), with Y inverse Gaussian of
+    mean (u - a)/|u - b| and shape (u - a)^2/(sigma2 s).
+    """
+    s = t1 - t0
+    shape = (u - a) ** 2 / (p.sigma2 * s)
+    if b == u:      # infinite mean: the limit law is shape / Z^2
+        y = shape / rng.standard_normal() ** 2
+    else:
+        y = rng.wald((u - a) / abs(u - b), shape)
+    return t0 + s * y / (1.0 + y)
+
+
+def _max_time(p: PreparedModel, rng, m, t0, t1, a, b):
+    """Time at which the path attains its maximum m for the last time, on
+    its last record (t0, t1, a, b) (see _record_segments).
+
+    Only a bridge maximum strictly inside its segment draws a time, from
+    the generator rng() gives: by Shepp (J. Appl. Prob. 1979) it is at
+    t0 + s y/(1 + y), where with probability (m - b)/(2m - a - b) y is
+    inverse Gaussian of mean (m - a)/(m - b) and shape (m - a)^2/(sigma2 s),
+    and otherwise 1/y is inverse Gaussian with a and b swapped.
+    """
+    if m <= b:
+        return t1
+    if m <= a:
+        return t0
+    rng = rng()
+    s = t1 - t0
+    if rng.random() * (2.0 * m - a - b) < m - b:
+        y = rng.wald((m - a) / (m - b), (m - a) ** 2 / (p.sigma2 * s))
+    else:
+        y = 1.0 / rng.wald((m - b) / (m - a), (m - b) ** 2 / (p.sigma2 * s))
+    return t0 + s * y / (1.0 + y)
 
 
 def _passages(p: PreparedModel, rows, n: int, u: np.ndarray,
@@ -373,17 +510,24 @@ def _passages(p: PreparedModel, rows, n: int, u: np.ndarray,
     out = np.full((6, n), math.nan)
     out[0], out[1] = math.inf, 0.0
     mx, last = np.zeros((2, n))
+    bridges = p.sigma2 > 0.0
+    seg = np.zeros((4, n))      # on bridges, the last record's segment
 
-    def step(idx, blk):
+    def step(idx, blk, rng_at):
         t, x, te, pre, post, top = blk
         lv = np.maximum(u[idx], _TINY)
         hitm = (top > lv[:, None]) | (post > lv[:, None])
         hit = hitm.any(axis=1)
         k = np.argmax(hitm, axis=1)
         # records up to the crossing jump, or through the whole block
-        mx[idx], last[idx] = _records(
-            te, top, post, np.where(hit, 2 * k + 1, 2 * te.shape[1]),
-            mx[idx], last[idx])
+        lim = np.where(hit, 2 * k + 1, 2 * te.shape[1])
+        if bridges:
+            mx[idx], rec, i = _last_record(top, post, lim, mx[idx])
+            r = np.flatnonzero(rec)
+            seg[:, idx[r]] = _record_segments(te, pre, post, t, x, r, i[r])
+        else:
+            mx[idx], last[idx] = _records(te, top, post, lim, mx[idx],
+                                          last[idx])
         h = np.flatnonzero(hit)
         if not h.size:
             return hit
@@ -393,12 +537,23 @@ def _passages(p: PreparedModel, rows, n: int, u: np.ndarray,
         # a crossing jump: the position just before it may be the maximum
         m, g = mx[idx[h]], last[idx[h]]
         up = pre[h, k] >= m
+        cont = top[h, k] > lv
+        if bridges:
+            for j in np.flatnonzero(~(up | cont)).tolist():
+                g[j] = _max_time(p, lambda: rng_at(h[j]), m[j],
+                                 *seg[:, idx[h[j]]])
         m[up], g[up] = pre[h, k][up], tau[up]
         # a continuous crossing, forward from the segment start: on a line
-        # from the origin that is bitwise u/d
-        c = np.flatnonzero(top[h, k] > lv)
+        # from the origin that is bitwise u/d, on a bridge an inverse
+        # Gaussian time
+        c = np.flatnonzero(cont)
         t0, a = _before(te, post, t, x, h[c], k[c])
-        tau[c] = t0 + (lv[c] - a) / d
+        if bridges:
+            tau[c] = [_hit_time(p, rng_at(h[j]), lv[j], t0_j, tau[j], a_j,
+                                pre[h[j], k[j]])
+                      for j, t0_j, a_j in zip(c.tolist(), t0, a)]
+        else:
+            tau[c] = t0 + (lv[c] - a) / d
         x_at[c] = lv[c]
         m[c], g[c] = lv[c], tau[c]
         ok = tau <= horizon
@@ -416,9 +571,23 @@ def _fixed_times(p: PreparedModel, rows, n: int, horizon: float) -> tuple:
     rows."""
     d = p.drift
     x_end, mx, last = np.zeros((3, n))
+    seg = np.zeros((4, n))      # on bridges, the last record's segment
 
-    def step(idx, blk):
+    def step(idx, blk, rng_at):
         t, x, te, pre, post, top = blk
+        if p.sigma2 > 0.0:
+            mx[idx], rec, i = _last_record(
+                top, post, np.full(len(idx), 2 * te.shape[1]), mx[idx])
+            r = np.flatnonzero(rec)
+            seg[:, idx[r]] = _record_segments(te, pre, post, t, x, r, i[r])
+            # a path ends with the bridge that ends at horizon
+            end = np.flatnonzero(te[:, -1] >= horizon)
+            r = idx[end]
+            x_end[r] = post[end, np.argmax(te[end] >= horizon, axis=1)]
+            last[r] = [_max_time(p, lambda: rng_at(h), m_h, *seg_h)
+                       for h, m_h, seg_h in zip(end.tolist(), mx[r],
+                                                seg[:, r].T)]
+            return np.zeros(len(idx), dtype=bool)
         k = np.count_nonzero(te <= horizon, axis=1)
         mx_r, last_r = _records(te, top, post, 2 * k, mx[idx], last[idx])
         xe = post[:, -1].copy()
@@ -445,13 +614,14 @@ def _coupled_rows(p: PreparedModel, rows, n: int,
 
     A level's crossing is the first segment maximum or jump landing above
     it. A row stops at its first crossing past the horizon, leaving that
-    level and every higher one nan.
+    level and every higher one nan. Rows whose block crosses a level inside
+    a bridge walk that block on their own (_bridge_levels).
     """
     horizon = p.cfg.horizon
     d = p.drift
     nl = len(levels)
     taus, maxima = np.full((2, n, nl), math.nan)
-    if p.rate == 0.0:
+    if p.rate == 0.0 and p.sigma2 == 0.0:
         # the drift line, which passes u = d horizon at the horizon itself
         if d > 0.0:
             tt = levels / d
@@ -462,7 +632,7 @@ def _coupled_rows(p: PreparedModel, rows, n: int,
     mx = np.zeros(n)
     nxt = np.zeros(n, dtype=int)    # levels resolved per row
 
-    def step(idx, blk):
+    def step(idx, blk, rng_at):
         t, x, te, pre, post, top = blk
         vals = _interleave(top, post)
         run = np.maximum.accumulate(vals, axis=1)
@@ -473,6 +643,14 @@ def _coupled_rows(p: PreparedModel, rows, n: int,
         prior = np.concatenate((mxi, np.maximum(mxi, run[:, :-1])), axis=1)
         cross = (first < vals.shape[1]) \
             & (np.arange(nl) >= nxt[idx][:, None])
+        own = np.flatnonzero((cross & (first % 2 == 0)).any(axis=1)) \
+            if p.sigma2 > 0.0 else np.array([], dtype=int)
+        walked = [_bridge_levels(p, lambda: rng_at(h, True), levels, t[h, 0],
+                                 x[h, 0], te[h], pre[h], post[h], vals[h],
+                                 mx[idx[h]], nxt[idx[h]], taus[idx[h]],
+                                 maxima[idx[h]])
+                  for h in own.tolist()]
+        cross[own] = False
         rr, ll = np.nonzero(cross)
         j = first[rr, ll]
         k = j // 2
@@ -490,11 +668,60 @@ def _coupled_rows(p: PreparedModel, rows, n: int,
         maxima[idx[rr[ok]], ll[ok]] = top_k[ok]
         nxt[idx] += np.count_nonzero(cross, axis=1)
         mx[idx] = np.maximum(mx[idx], run[:, -1])
-        return stop[:, -1] | (nxt[idx] == nl)
+        done = stop[:, -1]
+        for h, (mx_h, nxt_h, stop_h) in zip(own.tolist(), walked):
+            mx[idx[h]], nxt[idx[h]], done[h] = mx_h, nxt_h, stop_h
+        return done | (nxt[idx] == nl)
 
     for idx in _chunks(n):
         _lockstep(p, rows, idx, horizon, step)
     return taus, maxima
+
+
+def _bridge_levels(p: PreparedModel, rng, levels, t, x, te, pre, post,
+                   vals, mx, nxt, taus, maxima) -> tuple:
+    """One row's walk of a bridge block, from its running maximum mx, over
+    levels[nxt:]; writes taus and maxima and returns (mx, nxt, stopped).
+
+    vals are the block's interleaved segment maxima and jump landings.
+    After a bridge crosses a level, the rest of it is a bridge from that
+    level, whose maximum is drawn afresh from rng() for the next level.
+    """
+    horizon = p.cfg.horizon
+    i = 0   # first entry of vals not yet in mx
+    while nxt < len(levels):
+        ahead = np.flatnonzero(vals[i:] > levels[nxt])
+        if not ahead.size:
+            break
+        j = i + int(ahead[0])
+        mx = float(np.max(vals[i:j], initial=mx))
+        k = j // 2
+        if j % 2:   # the jump at te[k] passes every level below post[k]
+            if te[k] > horizon:
+                return mx, nxt, True
+            n = int(np.searchsorted(levels, post[k]))
+            taus[nxt:n] = te[k]
+            maxima[nxt:n] = max(mx, pre[k])
+            nxt = n
+        else:
+            t0, a = (te[k - 1], post[k - 1]) if k else (t, x)
+            while nxt < len(levels) and levels[nxt] < vals[j]:
+                u = levels[nxt]
+                tau = _hit_time(p, rng(), u, t0, te[k], a, pre[k])
+                if tau > horizon:
+                    return mx, nxt, True
+                taus[nxt] = tau
+                maxima[nxt] = u
+                nxt += 1
+                t0, a = tau, u
+                vals[j] = _bridge_max(
+                    u, pre[k], p.sigma2 * (te[k] - tau),
+                    math.log(rng().random()))
+        mx = max(mx, float(vals[j]))
+        i = j + 1
+    if nxt < len(levels):
+        mx = float(np.max(vals[i:], initial=mx))
+    return mx, nxt, False
 
 
 def _ladders(p: PreparedModel, rows, n: int):
@@ -504,7 +731,7 @@ def _ladders(p: PreparedModel, rows, n: int):
     mx = np.zeros(n)
     found = {}      # row -> its records so far, in pieces
 
-    def step(idx, blk):
+    def step(idx, blk, rng_at):
         t, x, te, pre, post, top = blk
         k = np.count_nonzero(te <= horizon, axis=1)
         vals = _interleave(top, post)
@@ -527,237 +754,7 @@ def _ladders(p: PreparedModel, rows, n: int):
 
 
 # ---------------------------------------------------------------------------
-# paths with a Gaussian part, one row at a time
-
-
-def _event_blocks(p: PreparedModel, rng, horizon: float):
-    """The path of a model with a Gaussian part in blocks of up to
-    _EVENT_BLOCK segments, up to horizon.
-
-    A segment is the Brownian bridge between two jumps. Yields (t, x, te,
-    pre, post, top): the block's start time and position, and for each
-    segment its end time, the positions just before and just after the
-    jump that ends it, and its maximum. The segment that holds horizon is
-    cut there and ends the path, with no jump; after the waits and jumps
-    the generator draws the segment ends, then their bridge maxima. A model
-    without jumps is one segment to horizon.
-    """
-    d = p.drift
-    sig2 = p.sigma2
-    t = x = 0.0
-    while True:
-        if p.rate == 0.0:
-            ct, j = np.array([horizon]), np.zeros(1)
-        else:
-            ct = np.cumsum(rng.exponential(1.0 / p.rate, _EVENT_BLOCK))
-            j = p.draw(rng, _EVENT_BLOCK)
-        te = t + ct
-        last = te[-1] >= horizon
-        if last:
-            n = int(np.searchsorted(te, horizon)) + 1
-            te = np.append(te[:n - 1], horizon)
-            ct, j = te - t, np.append(j[:n - 1], 0.0)
-        pre = x + d * ct + np.concatenate(([0.0], np.cumsum(j)[:-1]))
-        s = np.diff(te, prepend=t)
-        pre += np.cumsum(np.sqrt(sig2 * s) * rng.standard_normal(len(s)))
-        post = pre + j
-        top = _bridge_max(np.concatenate(([x], post[:-1])), pre, sig2 * s,
-                          np.log(rng.random(len(s))))
-        yield t, x, te, pre, post, top
-        if last:
-            return
-        t = te[-1]
-        x = post[-1]
-
-
-def _bridge_max(x0, x1, var, logu):
-    """Exact maximum of a Brownian bridge from x0 to x1 with variance var.
-
-    With q = -var log U, the maximum is the larger root of
-    (m - x0)(m - x1) = q/2, always at least max(x0, x1).
-    """
-    q = -var * logu
-    disc = (x1 - x0) ** 2 + 2.0 * q
-    return 0.5 * (x0 + x1 + np.sqrt(disc))
-
-
-def _hit_time(p: PreparedModel, rng, u, t0, t1, a, b):
-    """Time at which the bridge from a at t0 to b at t1 first passes u,
-    given that it does.
-
-    Over s = t1 - t0 it is t0 + s Y/(1 + Y), with Y inverse Gaussian of
-    mean (u - a)/|u - b| and shape (u - a)^2/(sigma2 s).
-    """
-    s = t1 - t0
-    shape = (u - a) ** 2 / (p.sigma2 * s)
-    if b == u:      # infinite mean: the limit law is shape / Z^2
-        y = shape / rng.standard_normal() ** 2
-    else:
-        y = rng.wald((u - a) / abs(u - b), shape)
-    return t0 + s * y / (1.0 + y)
-
-
-def _max_time(p: PreparedModel, rng, m, last):
-    """Time at which the path attains its maximum m for the last time.
-
-    last is that time, or (block, i) for entry i of the block's
-    interleaved segment maxima and jump landings (see _scan_records). Only
-    a bridge maximum strictly inside its segment draws a time: by Shepp
-    (J. Appl. Prob. 1979) it is at t0 + s y/(1 + y), where with probability
-    (m - b)/(2m - a - b) y is inverse Gaussian of mean (m - a)/(m - b) and
-    shape (m - a)^2/(sigma2 s), and otherwise 1/y is inverse Gaussian with
-    a and b swapped.
-    """
-    if not isinstance(last, tuple):
-        return last
-    (t, x, te, pre, post, _), i = last
-    k = i // 2
-    t1 = float(te[k])
-    b = pre[k]
-    if i % 2 or m <= b:
-        return t1
-    t0, a = (float(te[k - 1]), post[k - 1]) if k else (t, x)
-    if m <= a:
-        return t0
-    s = t1 - t0
-    if rng.random() * (2.0 * m - a - b) < m - b:
-        y = rng.wald((m - a) / (m - b), (m - a) ** 2 / (p.sigma2 * s))
-    else:
-        y = 1.0 / rng.wald((m - b) / (m - a), (m - b) ** 2 / (p.sigma2 * s))
-    return t0 + s * y / (1.0 + y)
-
-
-def _scan_records(blk, n, mx, last):
-    """Update (maximum, last record) over the first n entries of the
-    block's interleaved segment maxima and jump landings.
-
-    Ties count as reattained maxima: the last record tracks the most
-    recent visit to the maximum. Its time is resolved by _max_time.
-    """
-    vals = _interleave(blk[5], blk[4])[:n]
-    prior = np.maximum.accumulate(np.concatenate(([mx], vals)))[:-1]
-    rec = np.flatnonzero(vals >= prior)
-    if rec.size:
-        return max(mx, float(np.max(vals))), (blk, int(rec[-1]))
-    return mx, last
-
-
-def _record(u, tau, horizon=math.inf, x=None, under=0.0, g=None):
-    """Passage at tau that lands on x (on u itself by default, a creep), or
-    a censored record when tau is infinite or past the horizon."""
-    if math.isinf(tau) or tau > horizon:
-        return PassageRecord(u, math.inf, False, math.nan, math.nan,
-                             math.nan, math.nan)
-    x = u if x is None else x
-    return PassageRecord(u, tau, True, x, x - u, under,
-                         tau if g is None else g)
-
-
-def _first_passage(p: PreparedModel, u: float, rng) -> PassageRecord:
-    """First passage over u along one bridge path, censored at the
-    horizon."""
-    horizon = p.cfg.horizon
-    mx, last = 0.0, 0.0
-    for blk in _event_blocks(p, rng, horizon):
-        t, x, te, pre, post, top = blk
-        hit = np.flatnonzero((top > u) | (post > u))
-        if not hit.size:
-            mx, last = _scan_records(blk, 2 * len(te), mx, last)
-            continue
-        k = int(hit[0])
-        if top[k] > u:
-            # a continuous crossing, forward from the segment start
-            t0, a = (te[k - 1], post[k - 1]) if k else (t, x)
-            return _record(u, _hit_time(p, rng, u, t0, te[k], a, pre[k]),
-                           horizon)
-        mx, last = _scan_records(blk, 2 * k + 1, mx, last)
-        if pre[k] >= mx:
-            mx, last = pre[k], te[k]
-        return _record(u, te[k], horizon, float(post[k]), float(u - mx),
-                       _max_time(p, rng, mx, last))
-    return _record(u, math.inf)
-
-
-def _fixed_time(p: PreparedModel, horizon: float, rng) -> tuple:
-    """(X_t, running max, last max time) at t = horizon along one bridge
-    path, whose last segment ends at horizon."""
-    mx, last = 0.0, 0.0
-    for blk in _event_blocks(p, rng, horizon):
-        mx, last = _scan_records(blk, 2 * len(blk[2]), mx, last)
-    return float(blk[4][-1]), float(mx), _max_time(p, rng, mx, last)
-
-
-def _coupled_levels(p: PreparedModel, levels: np.ndarray, rng) -> tuple:
-    """Passage times over increasing levels along one bridge path, with
-    the running maximum just before each crossing; nan past the horizon.
-
-    After a bridge crosses a level, the rest of it is a bridge from that
-    level, whose maximum is drawn afresh for the next level.
-    """
-    horizon = p.cfg.horizon
-    taus, maxima = np.full((2, len(levels)), math.nan)
-    mx = 0.0
-    nxt = 0  # first level not yet crossed
-    for t, x, te, pre, post, top in _event_blocks(p, rng, horizon):
-        vals = _interleave(top, post)
-        i = 0   # first entry of vals not yet in mx
-        while nxt < len(levels):
-            ahead = np.flatnonzero(vals[i:] > levels[nxt])
-            if not ahead.size:
-                break
-            j = i + int(ahead[0])
-            mx = float(np.max(vals[i:j], initial=mx))
-            k = j // 2
-            if j % 2:   # the jump at te[k] passes every level below post[k]
-                if te[k] > horizon:
-                    return taus, maxima
-                n = int(np.searchsorted(levels, post[k]))
-                taus[nxt:n] = te[k]
-                maxima[nxt:n] = max(mx, pre[k])
-                nxt = n
-            else:
-                t0, a = (te[k - 1], post[k - 1]) if k else (t, x)
-                while nxt < len(levels) and levels[nxt] < vals[j]:
-                    u = levels[nxt]
-                    tau = _hit_time(p, rng, u, t0, te[k], a, pre[k])
-                    if tau > horizon:
-                        return taus, maxima
-                    taus[nxt] = tau
-                    maxima[nxt] = u
-                    nxt += 1
-                    t0, a = tau, u
-                    vals[j] = _bridge_max(
-                        u, pre[k], p.sigma2 * (te[k] - tau),
-                        math.log(rng.random()))
-            mx = max(mx, float(vals[j]))
-            i = j + 1
-        if nxt == len(levels):
-            break
-        mx = float(np.max(vals[i:], initial=mx))
-    return taus, maxima
-
-
-def _replicate(p: PreparedModel, one: Callable, n: int,
-               seed: Optional[int], level_index: int) -> tuple:
-    """(seed, [one(rng) for each replication]) for a batch of n, one row
-    at a time.
-
-    Replication r of level level_index reads stream (seed, level_index, r),
-    so a batch replays bitwise whatever its size or split. A seed of None
-    means the prepared config's seed; the seed used comes back with the
-    values.
-    """
-    seed, rows = _rows(p, n, seed, level_index)
-    out = []
-    for r in range(n):
-        rows.start(r)
-        out.append(one(rows.rng))
-    return seed, out
-
-
-# ---------------------------------------------------------------------------
-# public entry points; model may be a LevyModel or a PreparedModel; a model
-# without a Gaussian part runs in lockstep, one with one a row at a time
+# public entry points; model may be a LevyModel or a PreparedModel
 
 
 def _check_levels(levels, increasing: bool = False) -> np.ndarray:
@@ -775,14 +772,18 @@ def _check_levels(levels, increasing: bool = False) -> np.ndarray:
     return levels
 
 
+def _check_time(t) -> None:
+    """Refuses a fixed time unless it is finite and positive."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t: must be finite and positive, got {t!r}")
+
+
 def simulate_passage(model, u: float, rng: np.random.Generator,
                      cfg: Optional[SimConfig] = None) -> PassageRecord:
     """One passage attempt over level u > 0 with the natural engine."""
     if not u > 0.0:
         raise ValueError("level u must be positive")
     p = prepare(model, cfg)
-    if p.sigma2 > 0.0:
-        return _first_passage(p, u, rng)
     tau, ruined, x_at, ov, us, gl = _passages(
         p, _OneRow(rng), 1, np.array([u]))[:, 0].tolist()
     return PassageRecord(u, tau, bool(ruined), x_at, ov, us, gl)
@@ -795,16 +796,8 @@ def passage_sample(model, u: float, n: int,
     if not u > 0.0:
         raise ValueError("level u must be positive")
     p = prepare(model, cfg)
-    if p.sigma2 > 0.0:
-        seed, recs = _replicate(p, lambda rng: _first_passage(p, u, rng), n,
-                                seed, level_index)
-        cols = np.array(
-            [(r.tau, r.ruined, r.x_at_tau, r.overshoot, r.undershoot,
-              r.g_last_max) for r in recs], dtype=float).reshape(n, 6).T
-    else:
-        seed, rows = _rows(p, n, seed, level_index)
-        cols = _passages(p, rows, n, np.full(n, u))
-    tau, ruined, x_at, ov, us, gl = cols.copy()
+    seed, rows = _rows(p, n, seed, level_index)
+    tau, ruined, x_at, ov, us, gl = _passages(p, rows, n, np.full(n, u))
     return PassageBatch(u, tau, ruined.astype(bool), x_at, ov, us, gl,
                         p.engine, seed, level_index)
 
@@ -812,9 +805,8 @@ def passage_sample(model, u: float, n: int,
 def sample_at_time(model, t: float, rng: np.random.Generator,
                    cfg: Optional[SimConfig] = None) -> tuple:
     """(X_t, running max, last max time) for one path."""
+    _check_time(t)
     p = prepare(model, cfg)
-    if p.sigma2 > 0.0:
-        return _fixed_time(p, t, rng)
     return tuple(float(v[0]) for v in _fixed_times(p, _OneRow(rng), 1, t))
 
 
@@ -822,13 +814,9 @@ def fixed_time_sample(model, t: float, n: int,
                       seed: Optional[int] = None, level_index: int = 0,
                       cfg: Optional[SimConfig] = None):
     """Arrays (X_t, running max, last max time) over n replications."""
+    _check_time(t)
     p = prepare(model, cfg)
-    if p.sigma2 == 0.0:
-        return _fixed_times(p, _rows(p, n, seed, level_index)[1], n, t)
-    _, rows = _replicate(p, lambda rng: _fixed_time(p, t, rng), n, seed,
-                         level_index)
-    xs, ms, gs = np.array(rows, dtype=float).reshape(n, 3).T.copy()
-    return xs, ms, gs
+    return _fixed_times(p, _rows(p, n, seed, level_index)[1], n, t)
 
 
 def ratio_path(model, levels, rng: np.random.Generator,
@@ -842,11 +830,7 @@ def ratio_path(model, levels, rng: np.random.Generator,
     """
     levels = _check_levels(levels, increasing=True)
     p = prepare(model, cfg)
-    if p.sigma2 > 0.0:
-        taus, maxima = _coupled_levels(p, levels, rng)
-    else:
-        taus, maxima = (a[0] for a in
-                        _coupled_rows(p, _OneRow(rng), 1, levels))
+    taus, maxima = (a[0] for a in _coupled_rows(p, _OneRow(rng), 1, levels))
     return (taus, maxima) if with_max else taus
 
 
@@ -856,12 +840,7 @@ def ratio_paths(model, levels, n: int, seed: Optional[int] = None,
     """Matrix of passage times, one coupled path per row."""
     p = prepare(model, cfg)
     levels = _check_levels(levels, increasing=True)
-    if p.sigma2 == 0.0:
-        return _coupled_rows(p, _rows(p, n, seed, level_index)[1], n,
-                             levels)[0]
-    _, rows = _replicate(p, lambda rng: _coupled_levels(p, levels, rng)[0],
-                         n, seed, level_index)
-    return np.array(rows, dtype=float).reshape(n, len(levels))
+    return _coupled_rows(p, _rows(p, n, seed, level_index)[1], n, levels)[0]
 
 
 def _ladder_batch(p: PreparedModel, n: int, seed: Optional[int],

@@ -17,7 +17,9 @@ import pytest
 import levy_passage
 from levy_passage import __version__
 from levy_passage.cli import main
-from levy_passage.output import PLOT_COLUMNS, RECORD_COLUMNS
+from levy_passage.models import cramer_lundberg
+from levy_passage.output import PLOT_COLUMNS, RECORD_COLUMNS, write_csv
+from levy_passage.simulate import SimConfig, passage_sample
 
 
 def cfg_file(tmp_path, payload, name="cfg.json"):
@@ -166,6 +168,36 @@ def test_simulate_writes_one_row_per_replication(tmp_path, capsys):
     lines = open(out).read().splitlines()
     assert lines[0] == ",".join(RECORD_COLUMNS)
     assert len(lines) == 151
+
+
+def test_simulate_csv_streams_the_bytes_of_one_dict_per_row(tmp_path):
+    # the CSV is written row by row from the batch's columns; its bytes are
+    # those of the writer that built every row's dict first, censored rows
+    # (tau inf, the rest nan) included
+    cfg = {"model": {"family": "cramer-lundberg", "lam": 1.0, "alpha": 2.0,
+                     "premium": 1.0},
+           "sim": {"horizon": 3.0}, "seed": 5, "n": 300, "u_grid": [1.0]}
+    out = str(tmp_path / "rec.csv")
+    assert main(["simulate", "--config", cfg_file(tmp_path, cfg),
+                 "--out", out]) == 0
+    batch = passage_sample(cramer_lundberg(1.0, 2.0, 1.0), 1.0, 300, seed=5,
+                           cfg=SimConfig(horizon=3.0))
+    assert 0 < batch.n_ruined < batch.n
+    rows = []
+    for r in range(batch.n):
+        rows.append({
+            "u": batch.u, "tau": float(batch.tau[r]),
+            "x_at_tau": float(batch.x_at_tau[r]),
+            "overshoot": float(batch.overshoot[r]),
+            "undershoot": float(batch.undershoot[r]),
+            "g_last_max": float(batch.g_last_max[r]),
+            "ruined": bool(batch.ruined[r]),
+            "seed": batch.seed, "replication": r,
+        })
+    want = tmp_path / "want.csv"
+    write_csv(str(want), RECORD_COLUMNS, rows)
+    assert open(out, "rb").read() == want.read_bytes()
+    assert b"inf" in want.read_bytes() and b"nan" in want.read_bytes()
 
 
 def test_simulate_requires_single_level(tmp_path, capsys):

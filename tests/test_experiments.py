@@ -286,3 +286,9 @@ def test_appendix_demo_event_exact_rows():
 def test_appendix_demo_rejects_nonpositive_times():
     with pytest.raises(ValueError):
         appendix_demo(DMP, [0.0, 1.0], 200)
+
+
+@pytest.mark.parametrize("times", [[math.nan], [1.0, math.inf], [-1.0]])
+def test_appendix_demo_refuses_times_not_finite_and_positive(times):
+    with pytest.raises(ValueError, match=r"^times: must be finite"):
+        appendix_demo(make_counterexample1(), times, 200)

@@ -162,3 +162,34 @@ def test_infinite_activity_sampler_draws_above_cutoff():
     assert np.all(np.abs(x) >= eps * (1.0 - 1e-9))
     # symmetric measure: signs roughly balanced
     assert abs(np.mean(x > 0) - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("two_sided", [True, False], ids=["two", "one"])
+def test_inverse_tail_rows_inverted_together_match_their_draws(two_sided):
+    # draw(rng, n) reads 2n uniforms, n that choose each jump's side and n
+    # for its quantile; rows that each draw random(2n) and are inverted in
+    # one call, in sorted order, get every row's jumps as np.interp gives
+    # them point by point (70 rows of 64 jumps give np.interp more points
+    # than table nodes, where it precomputes slopes)
+    eps, hi = 0.01, 1e12
+    m = JumpMeasure(pos_tail=lambda x: 0.5 / x,
+                    neg_tail=lambda x: 0.3 / x if two_sided else 0.0,
+                    neg_support=math.inf if two_sided else 0.0,
+                    total_rate=math.inf)
+    draw = m.sampler(eps).draw
+    n, rows = 64, 70
+    rng = stream(5)
+    assert np.array_equal(np.concatenate((rng.random(n), rng.random(n))),
+                          stream(5).random(2 * n))
+    uv = np.stack([stream(5, 0, r).random(2 * n) for r in range(rows)])
+    r_pos, r_neg = m.pos_tail(eps), m.neg_tail(eps)
+    pos = tail_table_inverse(m.pos_tail, eps, hi)
+    want = np.stack([pos(row[n:] * r_pos) for row in uv])
+    if two_sided:
+        neg = tail_table_inverse(m.neg_tail, eps, hi)
+        cut = r_pos / (r_pos + r_neg)
+        want = np.where(uv[:, :n] < cut, want,
+                        np.stack([-neg(row[n:] * r_neg) for row in uv]))
+    assert np.array_equal(draw.from_uniforms(uv), want)
+    assert np.array_equal(draw(stream(5, 0, 3), n), want[3])
+    assert (np.any(want < 0.0) == two_sided) and np.all(np.abs(want) >= eps)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from levy_passage.models import (brownian_drift, cramer_lundberg,
-                                 drift_minus_poisson, make_counterexample1,
-                                 spectrally_negative)
+                                 custom_model, drift_minus_poisson,
+                                 make_counterexample1, spectrally_negative)
 from levy_passage import simulate
 from levy_passage.ladder import Backend, LadderExponent, verify_lt_identity
 from levy_passage.rng import _RowStreams, stream
@@ -27,6 +27,9 @@ BD = brownian_drift(1.0, 1.0)
 SN = spectrally_negative(2.0, 1.0, 1.0)
 CL = cramer_lundberg(1.0, 2.0, 1.0)
 LINE = brownian_drift(2.0, 0.0)     # event-exact with no jumps
+EXP2 = "pow(2.718281828459045, -2*x)"
+JD = custom_model(gamma=1.0, sigma2=1.0, pos_tail=EXP2, neg_tail=EXP2)
+CE1 = make_counterexample1()
 
 
 def test_engine_selection():
@@ -272,27 +275,32 @@ def _record_row(rec):
             rec.undershoot, rec.g_last_max]
 
 
-_LEVELS = np.array([0.5, 1.0, 2.0])
-# rows per model; drift-minus-poisson runs past one lockstep chunk
-_TWIN_ROWS = ((DMP, simulate._CHUNK + 44), (BD, 5), (SN, 9), (CL, 9),
-              (LINE, 3))
-# (batch of n at level index 3 as a matrix, one path as its row)
+# the last level lies past the first block of the jump diffusion, whose
+# rows go on after continuous crossings of the lower ones
+_LEVELS = np.array([0.5, 1.0, 2.0, 40.0])
 _TWIN_CFG = SimConfig(horizon=200.0)
+# counterexample 1 at about 100 jumps per unit time drifts down: most of
+# its paths end in a bridge cut at the horizon
+_CE1_CFG = SimConfig(epsilon=cutoff_for_rate(CE1, 100.0), horizon=2.5)
+# (model, rows, config); drift-minus-poisson and the jump diffusion run
+# past one lockstep chunk
+_TWIN_ROWS = ((DMP, simulate._CHUNK + 44, _TWIN_CFG), (BD, 5, _TWIN_CFG),
+              (SN, 9, _TWIN_CFG), (CL, 9, _TWIN_CFG), (LINE, 3, _TWIN_CFG),
+              (JD, simulate._CHUNK + 44, _TWIN_CFG), (CE1, 40, _CE1_CFG))
+# (batch of n at level index 3 as a matrix, one path as its row)
 _TWINS = {
     "passage": (
-        lambda m, n: _passage_rows(passage_sample(m, 1.5, n, seed=11,
-                                                  level_index=3,
-                                                  cfg=_TWIN_CFG)),
-        lambda m, rng: _record_row(simulate_passage(m, 1.5, rng,
-                                                    _TWIN_CFG))),
+        lambda m, n, cfg: _passage_rows(passage_sample(
+            m, 1.5, n, seed=11, level_index=3, cfg=cfg)),
+        lambda m, rng, cfg: _record_row(simulate_passage(m, 1.5, rng, cfg))),
     "fixed-time": (
-        lambda m, n: np.column_stack(fixed_time_sample(
-            m, 2.0, n, seed=11, level_index=3, cfg=_TWIN_CFG)),
-        lambda m, rng: sample_at_time(m, 2.0, rng, _TWIN_CFG)),
+        lambda m, n, cfg: np.column_stack(fixed_time_sample(
+            m, 2.0, n, seed=11, level_index=3, cfg=cfg)),
+        lambda m, rng, cfg: sample_at_time(m, 2.0, rng, cfg)),
     "coupled": (
-        lambda m, n: ratio_paths(m, _LEVELS, n, seed=11, level_index=3,
-                                 cfg=_TWIN_CFG),
-        lambda m, rng: ratio_path(m, _LEVELS, rng, _TWIN_CFG)),
+        lambda m, n, cfg: ratio_paths(m, _LEVELS, n, seed=11, level_index=3,
+                                      cfg=cfg),
+        lambda m, rng, cfg: ratio_path(m, _LEVELS, rng, cfg)),
 }
 
 
@@ -301,15 +309,17 @@ def test_batch_rows_match_single_path_twins(kind):
     # row r of a batch is the single path on stream (seed, level index, r),
     # bit for bit, censored (nan) entries included
     batch, single = _TWINS[kind]
-    for model, n in _TWIN_ROWS:
-        mat = batch(model, n)
+    for model, n, cfg in _TWIN_ROWS:
+        mat = batch(model, n, cfg)
         assert mat.shape[0] == n
         for r in range(n):
-            row = np.asarray(single(model, stream(11, 3, r)), dtype=float)
+            row = np.asarray(single(model, stream(11, 3, r), cfg),
+                             dtype=float)
             assert np.array_equal(mat[r], row, equal_nan=True), (model, r)
 
 
-@pytest.mark.parametrize("model", [DMP, SN, BD], ids=["dmp", "sn", "bd"])
+@pytest.mark.parametrize("model", [DMP, SN, BD, JD],
+                         ids=["dmp", "sn", "bd", "jd"])
 def test_lt_identity_rows_match_single_path_twins(model):
     # row r draws its Exp(mu) level from stream (seed, 0, r), then walks
     # that stream's path: the summary is that of the single-path twins
@@ -333,8 +343,11 @@ def test_lt_identity_rows_match_single_path_twins(model):
 
 def _lockstep_outputs():
     out = []
-    for model in (DMP, SN, CL, LINE):
-        cfg = SimConfig(horizon=150.0)
+    # on the bridges of JD and BD the horizon censors some passages at 60
+    # and cuts the walks to level 90
+    for model, horizon in ((DMP, 150.0), (SN, 150.0), (CL, 150.0),
+                           (LINE, 150.0), (JD, 70.0), (BD, 70.0)):
+        cfg = SimConfig(horizon=horizon)
         b = passage_sample(model, 60.0, 600, seed=23, level_index=1, cfg=cfg)
         out += [b.tau, b.ruined, b.x_at_tau, b.overshoot, b.undershoot,
                 b.g_last_max]
@@ -350,6 +363,16 @@ def test_lockstep_output_is_chunk_invariant(monkeypatch, chunk):
     want = _lockstep_outputs()
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
     assert _lockstep_outputs() == want
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("model", [DMP, BD, JD], ids=["dmp", "bd", "jd"])
+def test_fixed_time_must_be_finite_and_positive(model, t):
+    # nan and inf walked forever, and a time at or below 0 gave a number
+    with pytest.raises(ValueError, match=r"^t: must be finite and positive"):
+        fixed_time_sample(model, t, 3)
+    with pytest.raises(ValueError, match=r"^t: must be finite and positive"):
+        sample_at_time(model, t, stream(0))
 
 
 def test_ratio_path_rejects_bad_levels():
