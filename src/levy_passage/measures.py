@@ -422,10 +422,10 @@ def _inverse_tail_sampler(measure: JumpMeasure, eps: float) -> SizeSampler:
     signs = np.array(signs)
 
     def from_uniforms(uv):
-        """The jumps of uniforms uv, along its last axis n that choose each
-        jump's side (the first while below probs[0]) and n more for its
-        quantile; rows that each draw rng.random(2n) are inverted together
-        with the bits of their own draws."""
+        """Jumps from the uniforms uv: along its last axis, n that choose
+        each jump's side (the first while below probs[0]), then n for its
+        quantile. Rows of uniforms inverted together get the bits that each
+        row's own draw gives."""
         n = uv.shape[-1] // 2
         which, v = uv[..., :n], uv[..., n:]
         if len(rates) == 1:

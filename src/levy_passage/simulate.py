@@ -316,7 +316,7 @@ def _lockstep(p: PreparedModel, rows, idx: np.ndarray, horizon: float,
     d, sig2 = p.drift, p.sigma2
     jumpy = p.rate > 0.0
     width = _EVENT_BLOCK if jumpy else 1
-    scale = 1.0 / p.rate if jumpy else math.inf
+    scale = 1.0 / p.rate if jumpy else 1.0
     rng, draw = rows.rng, p.draw
     # an inverse-tail sampler turns each row's uniforms into jumps at once
     invert = getattr(draw, "from_uniforms", None)
@@ -358,12 +358,14 @@ def _lockstep(p: PreparedModel, rows, idx: np.ndarray, horizon: float,
                 else:
                     rows.restore(states[i])
                 if jumpy:
-                    waits[i] = rng.exponential(scale, width)
+                    # exponential(scale, width) is scale times these
+                    rng.standard_exponential(out=waits[i])
                     if invert:
                         rng.random(out=jumps[i])
                     else:
                         jumps[i] = draw(rng, width)
                 if sig2 > 0.0:
+                    waits[i] *= scale
                     np.add.accumulate(waits[i], out=ct[i])
                     k = width
                     if t[i, 0] + ct[i, -1] >= horizon:
@@ -384,7 +386,7 @@ def _lockstep(p: PreparedModel, rows, idx: np.ndarray, horizon: float,
             ct[c] = te[c] - t[c]
             jumps[cut] = 0.0
         else:
-            ct = np.cumsum(waits, axis=1)
+            ct = np.cumsum(scale * waits, axis=1)
             te = t + ct
         shift = np.zeros((m, width))
         np.cumsum(jumps[:, :-1], axis=1, out=shift[:, 1:])
