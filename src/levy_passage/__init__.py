@@ -23,7 +23,6 @@ from .cramer import (
     RuinEstimate,
     TiltedModel,
     conditional_stability_experiment,
-    direct_ruin,
     esscher_tilt,
     ruin_grid,
     ruin_is,

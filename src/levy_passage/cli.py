@@ -30,8 +30,8 @@ from .ladder import exponent_for, verify_lt_identity
 from .models import ModelError, classify_stability
 from .output import (PLOT_COLUMNS, RECORD_COLUMNS, _iter_records,
                      plot_rows_from_report, plot_rows_from_result,
-                     record_rows, result_payload, ruin_plot_rows, write_csv,
-                     write_json, write_manifest)
+                     record_rows, result_fields, result_payload,
+                     ruin_plot_rows, write_csv, write_json, write_manifest)
 from .simulate import passage_sample
 
 
@@ -154,7 +154,7 @@ def _dispatch(command: str, cfg: dict, args) -> int:
                   f"target={report.target:.6g} [{v}]")
         print(f"{command} verdict: {report.verdict}")
         _emit(args, plot_rows_from_report(report, command),
-              result_payload(command, report.to_dict()))
+              result_payload(command, report))
         return _verdict_code(report.verdict)
 
     if command == "as-stability":
@@ -172,7 +172,7 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         rows = [{"experiment": "as-stability", "u": float(u),
                  "statistic": "median_ratio", "value": float(v), "se": 0.0}
                 for u, v in zip(report.levels, report.median_ratio)]
-        _emit(args, rows, result_payload("as-stability", report.to_dict()))
+        _emit(args, rows, result_payload("as-stability", report))
         return _verdict_code(report.verdict)
 
     if command == "overshoot":
@@ -189,7 +189,7 @@ def _dispatch(command: str, cfg: dict, args) -> int:
             print(f"  rho={r:g}: weighted tau ratio {s.mean:.6g} "
                   f"(se {s.se:.3g})")
         _emit(args, plot_rows_from_result(result, "overshoot"),
-              result_payload("overshoot", result.to_dict()))
+              result_payload("overshoot", result))
         return 0
 
     if command == "lt-identity":
@@ -223,16 +223,11 @@ def _dispatch(command: str, cfg: dict, args) -> int:
                   f"C={est.C_hat:.6g}")
             if est.note:
                 print(f"warning: {est.note}")
-        payload = result_payload("ruin", {
-            "nu0": ests[0].nu0, "estimates": [e.to_dict() for e in ests]})
-        if args.format == "json":
-            _emit(args, None, payload)
-        else:
-            cols = ("u", "n", "nu0", "mu_star", "psi_hat", "se",
-                    "cramer_scaled", "C_hat", "C_se", "cond_tau_ratio",
-                    "cond_tau_se", "cond_g_ratio", "cond_g_se",
-                    "cond_x_ratio", "cond_x_se")
-            _emit(args, [e.to_dict() for e in ests], payload, columns=cols)
+        # the note is text, so the CSV rows leave it out
+        rows = [result_fields(e) for e in ests]
+        _emit(args, rows, result_payload("ruin", {"nu0": ests[0].nu0,
+                                                  "estimates": ests}),
+              columns=[k for k in rows[0] if k != "note"])
         return 0
 
     if command == "conditional":
@@ -245,21 +240,18 @@ def _dispatch(command: str, cfg: dict, args) -> int:
         print(f"conditional verdict: {report.verdict} "
               f"(mu_star={report.mu_star:.6g})")
         _emit(args, ruin_plot_rows(report.estimates, "conditional"),
-              result_payload("conditional", report.to_dict()))
+              result_payload("conditional", report))
         return _verdict_code(report.verdict)
 
     if command == "appendix-demo":
         times = u_grid_from_config(cfg, "times")
-        rows = appendix_demo(model, times, n, cfg=sim, seed=sim.seed)
-        cols = ("t", "n", "epsilon", "x_q10", "x_med", "x_q90", "max_q10",
-                "max_med")
-        for row in rows:
+        demo = appendix_demo(model, times, n, cfg=sim, seed=sim.seed)
+        for row in demo:
             print(f"t={row.t:g}: median X_t/t={row.x_med:.6g} "
                   f"median max/t={row.max_med:.6g}")
-        _emit(args, [r.to_dict() for r in rows],
-              result_payload("appendix-demo",
-                             {"rows": [r.to_dict() for r in rows]}),
-              columns=cols)
+        rows = [result_fields(r) for r in demo]
+        _emit(args, rows, result_payload("appendix-demo", {"rows": demo}),
+              columns=list(rows[0]))
         return 0
 
     raise ConfigError(f"unknown experiment '{command}'")

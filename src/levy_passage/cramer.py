@@ -38,7 +38,6 @@ __all__ = [
     "esscher_tilt",
     "ruin_is",
     "ruin_grid",
-    "direct_ruin",
     "conditional_stability_experiment",
     "tilt_identity_check",
 ]
@@ -229,9 +228,7 @@ class RuinEstimate:
 
     psi_hat estimates the ruin probability; cramer_scaled = exp(nu0 u)
     psi_hat; C_hat is the mean of exp(-nu0 overshoot) under the tilt. The
-    conditional ratios are weighted means given ruin; the _alt twins
-    recompute them through the scaled-constant route and must agree to
-    floating precision.
+    conditional ratios are weighted means given ruin.
     """
 
     u: float
@@ -249,24 +246,7 @@ class RuinEstimate:
     cond_g_se: float
     cond_x_ratio: float
     cond_x_se: float
-    cond_tau_ratio_alt: float = math.nan
-    cond_g_ratio_alt: float = math.nan
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "u": self.u, "n": self.n, "nu0": self.nu0,
-            "mu_star": self.mu_star, "psi_hat": self.psi_hat, "se": self.se,
-            "cramer_scaled": self.cramer_scaled, "C_hat": self.C_hat,
-            "C_se": self.C_se,
-            "cond_tau_ratio": self.cond_tau_ratio,
-            "cond_tau_se": self.cond_tau_se,
-            "cond_g_ratio": self.cond_g_ratio,
-            "cond_g_se": self.cond_g_se,
-            "cond_x_ratio": self.cond_x_ratio,
-            "cond_x_se": self.cond_x_se,
-            "note": self.note,
-        }
 
 
 def _weighted_ratio(w: np.ndarray, v: np.ndarray) -> tuple:
@@ -345,29 +325,12 @@ def _estimate(model: LevyModel, tilt: TiltedModel, batch) -> RuinEstimate:
     ct, ct_se = _weighted_ratio(w, tau_r)
     cg, cg_se = _weighted_ratio(w, g_r)
     cx, cx_se = _weighted_ratio(w, x_r)
-    # scaled-constant route: exp(nu0 u) E*[e^{-nu0 X} v] / cramer_scaled
-    ct_alt = math.exp(nu0 * u) * float(np.mean(psi_vals * tau_r)) / scaled
-    cg_alt = math.exp(nu0 * u) * float(np.mean(psi_vals * g_r)) / scaled
     return RuinEstimate(
         u=u, n=n, nu0=nu0, mu_star=tilt.mu_star, psi_hat=psi_hat, se=psi_se,
         cramer_scaled=scaled, C_hat=c_hat, C_se=c_se,
         cond_tau_ratio=ct, cond_tau_se=ct_se,
         cond_g_ratio=cg, cond_g_se=cg_se,
-        cond_x_ratio=cx, cond_x_se=cx_se,
-        cond_tau_ratio_alt=ct_alt, cond_g_ratio_alt=cg_alt, note=note)
-
-
-def direct_ruin(model: LevyModel, cfg: Optional[SimConfig], u: float, n: int,
-                seed: Optional[int] = None) -> tuple:
-    """Plain-measure ruin frequency before the horizon (for small u).
-
-    Biased low by ruin after the horizon; use only where the horizon
-    dwarfs the ruin time scale, as a cross-check of the tilted estimator.
-    """
-    batch = passage_sample(model, u, n, seed=seed, cfg=cfg)
-    p = batch.n_ruined / n
-    se = math.sqrt(p * (1.0 - p) / n)
-    return p, se
+        cond_x_ratio=cx, cond_x_se=cx_se, note=note)
 
 
 @dataclass
@@ -379,11 +342,6 @@ class ConditionalReport:
     estimates: list
     verdicts: list        # dicts with tau/g/x verdict strings per level
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {"nu0": self.nu0, "mu_star": self.mu_star,
-                "estimates": [e.to_dict() for e in self.estimates],
-                "verdicts": self.verdicts, "verdict": self.verdict}
 
 
 def _cond_verdict(est: float, se: float, target: float) -> str:

@@ -70,9 +70,6 @@ class RunningStat:
             return math.nan
         return self.sd / math.sqrt(self.n)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "mean": self.mean, "m2": self.m2}
-
 
 @dataclass
 class OvershootHist:
@@ -95,11 +92,6 @@ class OvershootHist:
     @property
     def total_mass(self) -> int:
         return self.zero_mass + int(self.counts.sum())
-
-    def to_dict(self) -> dict:
-        return {"zero_mass": self.zero_mass,
-                "edges": [float(e) for e in self.edges],
-                "counts": [int(c) for c in self.counts]}
 
 
 @dataclass
@@ -160,18 +152,6 @@ class ExperimentResult:
                    overshoot_hist=OvershootHist.from_values(ov),
                    weighted_tau=wt, weighted_g=wg)
 
-    def to_dict(self) -> dict:
-        return {
-            "u": self.u, "n": self.n, "n_censored": self.n_censored,
-            "tau_ratio": self.tau_ratio.to_dict(),
-            "g_ratio": self.g_ratio.to_dict(),
-            "overshoot_hist": self.overshoot_hist.to_dict(),
-            "weighted_tau": {repr(r): s.to_dict()
-                             for r, s in self.weighted_tau.items()},
-            "weighted_g": {repr(r): s.to_dict()
-                           for r, s in self.weighted_g.items()},
-        }
-
 
 # ---------------------------------------------------------------------------
 # verdicts
@@ -202,25 +182,13 @@ class StabilityReport:
 
     kind: str
     regime: str
-    classifier: StabilityVerdict
+    classifier: StabilityVerdict = field(
+        metadata={"json_fields": ("holds", "c", "detail")})
     target: float            # expected limit of the ratio, 1/c
     results: list
     verdicts: list
     verdict: str             # verdict at the grid point nearest the limit
     medians: list = field(default_factory=list)   # (tau, g) ratio medians
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "regime": self.regime,
-            "classifier": {"holds": self.classifier.holds,
-                           "c": self.classifier.c,
-                           "detail": self.classifier.detail},
-            "target": self.target,
-            "results": [r.to_dict() for r in self.results],
-            "verdicts": list(self.verdicts),
-            "verdict": self.verdict,
-            "medians": [[a, b] for a, b in self.medians],
-        }
 
 
 def _infer_regime(u_grid: np.ndarray, small: Regime, large: Regime) -> Regime:
@@ -359,16 +327,6 @@ class ASReport:
     n_paths: int
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": [float(u) for u in self.levels],
-            "target": self.target, "band": self.band,
-            "tail_window": self.tail_window,
-            "fraction_pass": self.fraction_pass,
-            "median_ratio": [float(v) for v in self.median_ratio],
-            "n_paths": self.n_paths, "verdict": self.verdict,
-        }
-
 
 def as_stability_experiment(model: LevyModel, cfg: Optional[SimConfig],
                             levels, n: int, seed: Optional[int] = None,
@@ -434,11 +392,6 @@ class DemoRow:
     x_q90: float
     max_q10: float
     max_med: float
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "n": self.n, "epsilon": self.epsilon,
-                "x_q10": self.x_q10, "x_med": self.x_med, "x_q90": self.x_q90,
-                "max_q10": self.max_q10, "max_med": self.max_med}
 
 
 def appendix_demo(model: LevyModel, times, n: int,

@@ -1,17 +1,23 @@
 """Result serialization: versioned JSON, plot-ready CSV, manifests.
 
-Floats go to CSV with 17 significant digits so every value round-trips to
-the same double. JSON payloads carry a top-level format tag. The manifest
-(config echo, package version, wall time) lives in a sibling file so the
-result file itself is byte-identical across reruns of the same spec+seed.
+A result dataclass is written as the dict of its fields, nested results
+included; a field whose metadata names "json_fields" writes only those
+attributes of its value. Floats go to CSV with 17 significant digits so
+every value round-trips to the same double. JSON payloads carry a
+top-level format tag. The manifest (config echo, package version, wall
+time) lives in a sibling file so the result file itself is byte-identical
+across reruns of the same spec+seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import os
 from typing import Iterable
+
+import numpy as np
 
 RESULT_FORMAT = "levy-passage/result-v1"
 MANIFEST_FORMAT = "levy-passage/manifest-v1"
@@ -22,6 +28,7 @@ RECORD_COLUMNS = ("u", "tau", "x_at_tau", "overshoot", "undershoot",
 
 __all__ = [
     "fmt17",
+    "result_fields",
     "result_payload",
     "write_json",
     "write_csv",
@@ -43,8 +50,38 @@ def fmt17(x) -> str:
     return str(x)
 
 
-def result_payload(kind: str, body: dict) -> dict:
-    out = dict(body)
+def result_fields(result) -> dict:
+    """The fields of a result dataclass, as its JSON object and CSV row.
+
+    Dict keys become strings here, so that sort_keys orders them as the
+    text that is written ("10.0" before "2.0"); json would sort float keys
+    as numbers.
+    """
+    out = {}
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        names = f.metadata.get("json_fields")
+        if names is not None:
+            value = {k: getattr(value, k) for k in names}
+        elif isinstance(value, dict):
+            value = {str(k): v for k, v in value.items()}
+        out[f.name] = value
+    return out
+
+
+def _to_json(obj):
+    """json.dump's fallback for what it cannot write itself."""
+    if dataclasses.is_dataclass(obj):
+        return result_fields(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def result_payload(kind: str, body) -> dict:
+    """A result dataclass or a dict, tagged with the format and kind."""
+    out = result_fields(body) if dataclasses.is_dataclass(body) \
+        else dict(body)
     out["format"] = RESULT_FORMAT
     out["kind"] = kind
     return out
@@ -52,7 +89,8 @@ def result_payload(kind: str, body: dict) -> dict:
 
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=True,
+                  default=_to_json)
         fh.write("\n")
 
 

@@ -21,6 +21,7 @@ from levy_passage.experiments import (ASReport, ExperimentResult,
 from levy_passage.models import (ModelError, Regime, brownian_drift,
                                  cramer_lundberg, drift_minus_poisson,
                                  make_counterexample1, spectrally_negative)
+from levy_passage.output import result_payload, write_json
 from levy_passage.simulate import SimConfig, passage_sample
 
 DMP = drift_minus_poisson(2.0)
@@ -95,11 +96,24 @@ def test_se_shrinks_like_root_n():
     assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
 
-def test_result_json_round_trip():
+def _json_round_trip(tmp_path, kind, result) -> dict:
+    path = tmp_path / "result.json"
+    write_json(path, result_payload(kind, result))
+    return json.loads(path.read_text())
+
+
+def test_result_json_round_trip(tmp_path):
     r = _cl_result(n=500)
-    back = json.loads(json.dumps(r.to_dict()))
-    assert back == r.to_dict()
-    assert back["tau_ratio"]["mean"] == r.mean_tau_ratio
+    back = _json_round_trip(tmp_path, "overshoot", r)
+    assert set(back) == {"format", "kind", "u", "n", "n_censored",
+                         "tau_ratio", "g_ratio", "overshoot_hist",
+                         "weighted_tau", "weighted_g"}
+    assert back["tau_ratio"] == {"n": r.tau_ratio.n, "mean": r.mean_tau_ratio,
+                                 "m2": r.tau_ratio.m2}
+    assert back["overshoot_hist"] == {
+        "zero_mass": r.overshoot_hist.zero_mass,
+        "edges": r.overshoot_hist.edges.tolist(),
+        "counts": r.overshoot_hist.counts.tolist()}
     assert set(back["weighted_tau"]) == {repr(q) for q in r.weighted_tau}
 
 
@@ -259,14 +273,14 @@ def test_as_stability_inconclusive_when_classifier_says_no():
     assert math.isnan(rep.target)
 
 
-def test_as_report_serializes():
+def test_as_report_serializes(tmp_path):
     bd = brownian_drift(1.0, 1.0)
     rep = as_stability_experiment(bd, None, [1.0, 2.0, 4.0, 8.0, 16.0], 30,
                                   seed=25)
-    d = rep.to_dict()
-    assert json.dumps(d)
+    d = _json_round_trip(tmp_path, "as-stability", rep)
     assert d["n_paths"] == 30
-    assert len(d["median_ratio"]) == 5
+    assert d["median_ratio"] == rep.median_ratio.tolist()
+    assert d["levels"] == rep.levels.tolist()
 
 
 # ---------------------------------------------------------------------------

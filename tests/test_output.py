@@ -68,6 +68,16 @@ def test_write_json_is_sorted_with_trailing_newline(tmp_path):
     assert math.isnan(back["v"])
 
 
+def test_write_json_writes_numpy_values_as_python_values(tmp_path):
+    path = str(tmp_path / "out.json")
+    write_json(path, {"i": np.int64(3), "f": np.float32(0.5),
+                      "a": np.array([1.5, math.inf]), "b": np.bool_(True)})
+    assert json.loads(open(path).read()) == {"i": 3, "f": 0.5,
+                                             "a": [1.5, math.inf], "b": True}
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        write_json(path, {"s": {1}})
+
+
 def test_write_json_byte_identical_reruns(tmp_path):
     p1 = str(tmp_path / "a.json")
     p2 = str(tmp_path / "b.json")

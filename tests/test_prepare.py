@@ -97,7 +97,7 @@ def test_ruin_grid_keys_level_i_as_seed_plus_i():
     ests = ruin_grid(cl, cfg, [1.0, 2.0], 200, seed=40)
     for i, u in enumerate((1.0, 2.0)):
         alone = ruin_is(cl, cfg, u, 200, seed=40 + i)
-        assert ests[i].to_dict() == alone.to_dict()
+        assert ests[i] == alone
     # a level keyed past the last 64-bit seed is refused, not wrapped to 0
     with pytest.raises(ValueError, match="seed out of range"):
         ruin_grid(cl, cfg, [1.0, 2.0], 20, seed=2**64 - 1)
