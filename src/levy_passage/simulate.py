@@ -623,14 +623,6 @@ def _coupled_rows(p: PreparedModel, rows, n: int,
     d = p.drift
     nl = len(levels)
     taus, maxima = np.full((2, n, nl), math.nan)
-    if p.rate == 0.0 and p.sigma2 == 0.0:
-        # the drift line, which passes u = d horizon at the horizon itself
-        if d > 0.0:
-            tt = levels / d
-            ok = tt <= horizon
-            taus[:, ok] = tt[ok]
-            maxima[:, ok] = levels[ok]
-        return taus, maxima
     mx = np.zeros(n)
     nxt = np.zeros(n, dtype=int)    # levels resolved per row
 

@@ -202,7 +202,7 @@ GOLDEN = {
     "exact-dmp-passage-short":
         "6b046beee7b78b0ad1f6efd7dc21dba1c8cccdec3627d7856d97e07e0cd61e4b",
     "exact-line-coupled":
-        "48ae200e468ec3a168244f277a1c223eaae9e426afa39562398357996c1a1852",
+        "8669dc87a9df535585b1e0524616be8ea85f6c4fcbdf91b3443c4a4e4fb5df3e",
     "exact-line-fixed":
         "88397243a9987f47ecef7a32fac1e6b26caf97472e5813f85084f62960dad05f",
     "exact-line-ladder":

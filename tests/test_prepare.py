@@ -108,9 +108,12 @@ def test_coupled_levels_match_single_passages():
     # so one walk serves all levels bit for bit; on a bridge the crossing
     # of one level draws the time and the fresh maximum that the next level
     # reads, so there only a one-level walk replays the single passage
+    # the drift line of slope 2 reaches the top level at its horizon 3, so
+    # it does not pass it there
     levels = np.array([0.5, 1.5, 3.0, 6.0])
-    for model in (drift_minus_poisson(2.0), SN):
-        p = prepare(model, SimConfig(horizon=8.0))
+    for model, horizon in ((drift_minus_poisson(2.0), 8.0), (SN, 8.0),
+                           (brownian_drift(2.0, 0.0), 3.0)):
+        p = prepare(model, SimConfig(horizon=horizon))
         for r in range(10):
             taus = ratio_path(p, levels, stream(21, 0, r))
             for u, tau in zip(levels, taus):
