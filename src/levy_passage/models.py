@@ -58,7 +58,6 @@ __all__ = [
     "cumulant",
     "cumulant_derivative",
     "process_mean",
-    "abs_mean_is_finite",
     "small_jump_variance",
     "signed_mean_between",
     "classify_stability",
@@ -143,12 +142,6 @@ class LevyModel:
             return None
         # d = gamma - int_{|y|<=1} y Pi(dy)
         return self.gamma - signed_mean_between(self, 0.0, 1.0)
-
-    def describe(self) -> str:
-        bits = [self.family.value]
-        if self.params:
-            bits.append(",".join(f"{k}={v}" for k, v in sorted(self.params.items())))
-        return " ".join(bits)
 
 
 @dataclass(frozen=True)
@@ -330,10 +323,6 @@ def process_mean(model: LevyModel) -> float:
     if math.isinf(pos) and math.isinf(neg):
         return math.nan
     return model.gamma + pos - neg
-
-
-def abs_mean_is_finite(model: LevyModel) -> bool:
-    return math.isfinite(process_mean(model))
 
 
 def _bv_heuristic(measure: JumpMeasure) -> Optional[bool]:
@@ -864,10 +853,10 @@ def _classify_prob(model, regime, grid):
 def _classify_as(model, regime, grid):
     evidence = _grid_evidence(model, grid)
     if regime is Regime.AS_LARGE:
-        if not abs_mean_is_finite(model):
+        mean = process_mean(model)
+        if not math.isfinite(mean):
             return StabilityVerdict(regime, math.nan, "no", evidence,
                                     "E|X_1| is infinite")
-        mean = process_mean(model)
         if mean > 0.0:
             return StabilityVerdict(regime, mean, "yes", evidence,
                                     f"E X_1 = {mean:.6g} > 0")
@@ -898,10 +887,10 @@ def _classify_as(model, regime, grid):
 def _classify_mean(model, regime, grid):
     evidence = _grid_evidence(model, grid)
     if regime is Regime.MEAN_LARGE:
-        if not abs_mean_is_finite(model):
+        mean = process_mean(model)
+        if not math.isfinite(mean):
             return StabilityVerdict(regime, math.nan, "no", evidence,
                                     "E|X_1| is infinite")
-        mean = process_mean(model)
         if mean > 0.0:
             return StabilityVerdict(regime, mean, "yes", evidence,
                                     f"E tau_u/u -> 1/E X_1, E X_1 = {mean:.6g}")
